@@ -82,8 +82,9 @@ def _load(args) -> "tuple":
 def emit_csv(result: SweepResult, path: str) -> None:
     """Write sweep rows: grid value, per-case rate and Holevo total, warnings.
 
-    Numbers carry 12 significant digits; output bytes are deterministic for a
-    given result (the timestamp is metadata only and never written).
+    The warnings cell counts the row's clamped transmissivities once (every
+    case shares them) plus each case's sub-vacuum eigenvalues.  Numbers carry
+    12 significant digits; output bytes are deterministic for a given result.
     """
     header = [result.variable.value]
     for case in result.cases:
@@ -97,12 +98,12 @@ def emit_csv(result: SweepResult, path: str) -> None:
             cells.extend("" for _ in range(2 * len(result.cases)))
             cells.append(f"error:{row.error}")
         else:
-            warn = 0
-            for case in result.cases:
-                report = row.reports[case]
+            reports = [row.reports[case] for case in result.cases]
+            for report in reports:
                 cells.append(_fmt(report.total_skr))
                 cells.append(_fmt(report.total_holevo))
-                warn += report.warnings.total
+            warn = reports[0].warnings.beta_clamped + sum(
+                report.warnings.eigen_negativity for report in reports)
             cells.append(str(warn))
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"

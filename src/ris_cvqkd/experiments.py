@@ -12,8 +12,7 @@ import dataclasses
 import enum
 import hashlib
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import PathSpec, Scenario, build_channels
 from .decomposition import BranchParams, branch_params, decompose, make_branch
@@ -65,7 +64,6 @@ class SweepResult:
     cases: tuple[AncillaCase, ...]
     rows: tuple[SweepRow, ...]
     scenario_digest: str
-    timestamp: float = field(default_factory=time.time)
 
 
 def noise_model(scenario: Scenario) -> NoiseModel:

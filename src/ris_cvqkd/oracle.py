@@ -4,8 +4,9 @@ Everything here is rebuilt from first principles: the joint covariance of
 (Bob's conditioning mode, stored output, kept EPR half) is assembled directly
 from the linear input-output relations, conditioning is a generic Schur
 complement on the measured quadrature, and symplectic eigenvalues come from a
-numeric eigensolver.  Accuracy over speed; tests and the ``verify`` command
-are the only consumers.
+numeric eigensolver.  ``run_verification`` works on stacks: for each block of
+draws it builds every covariance into one array and runs the eigensolver once
+per block.  Tests and the ``verify`` command are the only consumers.
 
 The independent-probe attack model is built here as an explicit real
 symplectic matrix over the register (A, E_d, E'_d, E_g, E'_g, E_f, E'_f):
@@ -24,11 +25,12 @@ import numpy as np
 
 from .decomposition import BranchParams, make_branch
 from .qkd import (AncillaCase, NoiseModel, NumericDomainError, Path,
-                  TwoModeCov, conditional_cov, symplectic_eigs_conditional,
+                  conditional_cov, symplectic_eigs_conditional,
                   symplectic_eigs_unconditional)
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
 REGISTER_MODES = 7  # A, E_d, E'_d, E_g, E'_g, E_f, E'_f
+VERIFY_BLOCK = 64  # draws per stacked eigensolve in run_verification; bounds its memory
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -37,7 +39,8 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 
 _Z = np.diag([1.0, -1.0])
-_OMEGA4 = symplectic_form(2)
+_J_OMEGA4 = 1j * symplectic_form(2)
+_MEASURE_X = np.diag([1.0, 0.0]).astype(complex)
 
 
 def _mode_coefficients(case: AncillaCase, b: BranchParams
@@ -61,29 +64,50 @@ def _mode_coefficients(case: AncillaCase, b: BranchParams
 
 
 def joint_cov(case: AncillaCase, b: BranchParams, n: NoiseModel) -> np.ndarray:
-    """6x6 Hermitian covariance over (conditioning mode, output, EPR half).
+    """6x6 Hermitian covariance over (conditioning mode, output, EPR half)."""
+    return _joint_stack(np.array(_joint_entries(case, b, n)))
 
-    Signal-borne correlations carry the identity quadrature structure; the
-    EPR cross term carries the Pauli-z structure with strength
-    sqrt(v_e^2 - 1).
-    """
+
+def _joint_entries(case: AncillaCase, b: BranchParams, n: NoiseModel) -> tuple:
+    """The six distinct entries of the joint covariance, from the raw mode
+    coefficients: the three mode variances, the signal-borne cross term of
+    Bob's mode and the output, and the EPR cross terms of the kept half with
+    Bob's mode and with the output."""
     c_ba, c_be, c_oa, c_oe = _mode_coefficients(case, b)
     v_a, v_e = n.v_a, n.v_e
     epr = math.sqrt(v_e ** 2 - 1.0)
-    j = np.zeros((6, 6), dtype=complex)
-    eye = np.eye(2)
+    return ((abs(c_ba) ** 2) * v_a + (abs(c_be) ** 2) * v_e,
+            (abs(c_oa) ** 2) * v_a + (abs(c_oe) ** 2) * v_e,
+            v_e,
+            c_oa * np.conj(c_ba) * v_a + c_oe * np.conj(c_be) * v_e,
+            np.conj(c_be) * epr,
+            c_oe * epr)
 
-    def put(r, c, block):
-        j[2 * r: 2 * r + 2, 2 * c: 2 * c + 2] = block
+
+def _joint_stack(entries: np.ndarray) -> np.ndarray:
+    """Joint covariances, shape (..., 6, 6), from (..., 6) arrays of
+    ``_joint_entries``.
+
+    Signal-borne correlations carry the identity quadrature structure; the
+    EPR cross terms carry the Pauli-z structure.
+    """
+    j = np.zeros(entries.shape[:-1] + (6, 6), dtype=complex)
+
+    def put(r, c, value, pauli_z=False):
+        """value * (I or Z) into block (r, c), and its adjoint into (c, r)."""
+        j[..., 2 * r, 2 * c] = value
+        j[..., 2 * r + 1, 2 * c + 1] = -value if pauli_z else value
         if r != c:
-            j[2 * c: 2 * c + 2, 2 * r: 2 * r + 2] = block.conj().T
+            j[..., 2 * c, 2 * r] = np.conj(value)
+            j[..., 2 * c + 1, 2 * r + 1] = -np.conj(value) if pauli_z else np.conj(value)
 
-    put(0, 0, ((abs(c_ba) ** 2) * v_a + (abs(c_be) ** 2) * v_e) * eye)
-    put(1, 1, ((abs(c_oa) ** 2) * v_a + (abs(c_oe) ** 2) * v_e) * eye)
-    put(2, 2, v_e * eye)
-    put(1, 0, (c_oa * np.conj(c_ba) * v_a + c_oe * np.conj(c_be) * v_e) * eye)
-    put(2, 0, np.conj(c_be) * epr * _Z)
-    put(1, 2, c_oe * epr * _Z)
+    v_b, v_out, v_e, cross, epr_b, epr_out = np.moveaxis(entries, -1, 0)
+    put(0, 0, v_b.real)
+    put(1, 1, v_out.real)
+    put(2, 2, v_e.real)
+    put(1, 0, cross)
+    put(2, 0, epr_b, pauli_z=True)
+    put(1, 2, epr_out, pauli_z=True)
     return j
 
 
@@ -98,70 +122,118 @@ def conditional_cov_oracle(case: AncillaCase, b: BranchParams,
 
 
 def _homodyne_x(j: np.ndarray) -> np.ndarray:
-    """Schur complement of a joint covariance over (measured mode, rest) on
-    the measured mode's x quadrature."""
-    v_b = j[0, 0].real
-    if v_b <= 0.0:
+    """Schur complement of joint covariances over (measured mode, rest) on
+    the measured mode's x quadrature; ``j`` may be a (..., 2m, 2m) stack."""
+    v_b = j[..., 0, 0].real
+    if np.any(v_b <= 0.0):
         raise NumericDomainError("conditioning variance is zero")
-    sigma_e = j[2:, 2:]
-    w = j[2:, :2]
-    m = np.diag([1.0, 0.0]).astype(complex)
-    return sigma_e - (w @ m @ w.conj().T) / v_b
+    w = j[..., 2:, :2]
+    update = w @ _MEASURE_X @ w.conj().swapaxes(-1, -2)
+    return j[..., 2:, 2:] - update / v_b[..., None, None]
 
 
-def _paired(mags: np.ndarray) -> tuple[float, float]:
-    mags = np.sort(mags)[::-1]
-    scale = max(mags[0], 1.0)
-    if abs(mags[0] - mags[1]) > PAIR_TOL * scale or \
-            abs(mags[2] - mags[3]) > PAIR_TOL * max(mags[2], 1.0):
+def _paired(mags: np.ndarray) -> np.ndarray:
+    """(lam1, lam2) per row of (m, 4) spectrum magnitudes, which must come
+    in equal pairs."""
+    mags = np.sort(mags, axis=-1)[:, ::-1]
+    bad = ((np.abs(mags[:, 0] - mags[:, 1]) > PAIR_TOL * np.maximum(mags[:, 0], 1.0))
+           | (np.abs(mags[:, 2] - mags[:, 3]) > PAIR_TOL * np.maximum(mags[:, 2], 1.0)))
+    if bad.any():
         raise NumericDomainError(
-            f"eigenvalues do not pair within tolerance: {mags}")
-    return 0.5 * (mags[0] + mags[1]), 0.5 * (mags[2] + mags[3])
+            f"eigenvalues do not pair within tolerance: {mags[np.argmax(bad)]}")
+    return 0.5 * (mags[:, 0::2] + mags[:, 1::2])
 
 
-def numeric_symplectic_eigs(k: np.ndarray) -> tuple[float, float]:
-    """Symplectic eigenvalues of a 4x4 Hermitian covariance.
+def numeric_symplectic_eigs(k: np.ndarray):
+    """Symplectic eigenvalues (lam1, lam2) of 4x4 Hermitian covariances.
 
     Computed as the eigenvalues of K^(1/2) (j Omega) K^(1/2), which shares
     the spectrum of j*Omega*K but is Hermitian, so a stable solver applies.
-    The small eigenvalue is refined through an exact determinant when it is
+    One matrix gives a tuple of two floats; a (..., 4, 4) stack gives a
+    (..., 2) array, with each solver run once over the whole stack.  The
+    small eigenvalue is refined through an exact determinant when it is
     tiny relative to the large one.
     """
     k = np.asarray(k, dtype=complex)
-    if k.shape != (4, 4):
+    if k.shape[-2:] != (4, 4):
         raise ValueError("covariance must be 4x4")
-    if not np.allclose(k, k.conj().T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(k).max()))):
+    stack = k.reshape(-1, 4, 4)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if not np.all(skew <= 1e-10 * scale):
         raise ValueError("covariance must be Hermitian")
     try:
-        vals, vecs = np.linalg.eigh(k)
+        vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError(f"eigensolver failed: {exc}") from exc
-    vals = np.maximum(vals, 0.0)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    herm = root @ (1j * _OMEGA4) @ root
-    herm = 0.5 * (herm + herm.conj().T)
-    lam = np.abs(np.linalg.eigvalsh(herm))
-    lam1, lam2 = _paired(lam)
-    if lam1 > 0.0 and lam2 < 1e-2 * lam1:
-        lam2 = _small_eig_from_det(k, lam1)
-    return lam1, lam2
+    root = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    herm = root @ _J_OMEGA4 @ root
+    herm = 0.5 * (herm + herm.conj().swapaxes(1, 2))
+    lam = _paired(np.abs(np.linalg.eigvalsh(herm)))
+    refine = np.flatnonzero((lam[:, 0] > 0.0) & (lam[:, 1] < 1e-2 * lam[:, 0]))
+    for i, exact in zip(refine, _sectors_decouple(stack[refine])):
+        small = _small_eig_from_sectors if exact else _small_eig_from_det
+        lam[i, 1] = small(stack[i], lam[i, 0])
+    if k.ndim == 2:
+        return float(lam[0, 0]), float(lam[0, 1])
+    return lam.reshape(k.shape[:-2] + (2,))
 
 
 def numeric_symplectic_eigs_direct(k: np.ndarray) -> tuple[float, float]:
     """Same spectrum through the non-Hermitian route |eig(j*Omega*K)|."""
     k = np.asarray(k, dtype=complex)
     try:
-        lam = np.abs(np.linalg.eigvals(1j * _OMEGA4 @ k))
+        lam = np.abs(np.linalg.eigvals(_J_OMEGA4 @ k))
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError(f"eigensolver failed: {exc}") from exc
-    return _paired(lam)
+    lam1, lam2 = _paired(lam[None])[0]
+    return float(lam1), float(lam2)
+
+
+def _sectors_decouple(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of an (m, 4, 4) stack: is it exactly the direct sum of a
+    Hermitian x-sector (x1, x2) and p-sector (p1, p2) with a real diagonal?"""
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    return (~stack[:, 0::2, 1::2].any(axis=(1, 2))
+            & ~stack[:, 1::2, 0::2].any(axis=(1, 2))
+            & ~diagonal.imag.any(axis=1)
+            & (stack[:, 2, 0] == stack[:, 0, 2].conj())
+            & (stack[:, 3, 1] == stack[:, 1, 3].conj()))
+
+
+def _exact_product(x: float, y: float) -> tuple[int, int]:
+    """x*y exactly, as (numerator, denominator); the denominator is a power
+    of two."""
+    nx, dx = float(x).as_integer_ratio()
+    ny, dy = float(y).as_integer_ratio()
+    return nx * ny, dx * dy
+
+
+def _small_eig_from_sectors(k: np.ndarray, lam1: float) -> float:
+    """Small symplectic eigenvalue sqrt|det K| / lam1 of a matrix whose
+    sectors decouple (``_sectors_decouple``).
+
+    det K is the product of the x-sector and p-sector determinants
+    a*b - |c|^2, each evaluated exactly on the float entries, and is rounded
+    once.
+    """
+    num = den = 1
+    for sector in (k[0::2, 0::2], k[1::2, 1::2]):
+        c = sector[0, 1]
+        terms = (_exact_product(sector[0, 0].real, sector[1, 1].real),
+                 _exact_product(-c.real, c.real), _exact_product(-c.imag, c.imag))
+        common = max(d for _, d in terms)
+        num *= sum(t * (common // d) for t, d in terms)
+        den *= common
+    return math.sqrt(abs(num / den)) / lam1
 
 
 def _small_eig_from_det(k: np.ndarray, lam1: float) -> float:
     """Recover the small symplectic eigenvalue from det(K) = (lam1*lam2)^2.
 
     The determinant is evaluated in extended precision so the result stays
-    accurate when the covariance is nearly singular.
+    accurate when the covariance is nearly singular.  Fallback for matrices
+    whose quadrature sectors do not decouple.
     """
     import mpmath as mp
 
@@ -184,10 +256,6 @@ class CheckResult:
     draws: int
 
 
-def _rel_dev(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-300)
-
-
 def random_branch(rng: np.random.Generator) -> tuple[BranchParams, NoiseModel]:
     """One parameter draw of the standard verification grid."""
     b = make_branch(beta_d=rng.uniform(0.0, 1.0), beta_g=rng.uniform(0.0, 1.0),
@@ -205,59 +273,46 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
     Schur-complement pipeline, and the conditional block matrix itself.
     ``perturb(case_tag, (lam1, lam2, lam3, lam4))`` may rewrite the
     closed-form eigenvalues (fault-injection hook for tests).
+
+    Draws are taken in blocks of ``VERIFY_BLOCK``.  The closed forms run per
+    draw and case; the oracle side of a whole block (joint covariances,
+    stored pairs, Schur complements and one eigensolve) runs on stacks.
     """
     tol = 1e-8
     rng = np.random.default_rng(seed)
-    names = [f"{kind}[{case.value}]"
-             for case in AncillaCase
-             for kind in ("eigs_unconditional", "eigs_conditional", "cond_blocks")]
-    worst = {name: 0.0 for name in names}
-    for _ in range(draws):
-        b, n = random_branch(rng)
-        for case in AncillaCase:
-            closed_u = symplectic_eigs_unconditional(case, b, n)
-            closed_c = symplectic_eigs_conditional(case, b, n)
-            if perturb is not None:
-                closed_u, closed_c = _apply_perturb(perturb, case, closed_u, closed_c)
-            oracle_u = numeric_symplectic_eigs(
-                TwoModeCov(eve_output_variance_oracle(case, b, n), n.v_e,
-                           v_corr_oracle(case, b, n)).as_matrix())
-            cond_matrix = conditional_cov_oracle(case, b, n)
-            oracle_c = numeric_symplectic_eigs(cond_matrix)
-            dev_u = max(_rel_dev(closed_u[0], oracle_u[0]),
-                        _rel_dev(closed_u[1], oracle_u[1]))
-            dev_c = max(_rel_dev(closed_c[0], oracle_c[0]),
-                        _rel_dev(closed_c[1], oracle_c[1]))
-            block = conditional_cov(case, b, n).as_matrix()
-            scale = max(1.0, float(np.abs(cond_matrix).max()))
-            dev_b = float(np.abs(block - cond_matrix).max()) / scale
-            key = f"eigs_unconditional[{case.value}]"
-            worst[key] = max(worst[key], dev_u)
-            key = f"eigs_conditional[{case.value}]"
-            worst[key] = max(worst[key], dev_c)
-            key = f"cond_blocks[{case.value}]"
-            worst[key] = max(worst[key], dev_b)
-    return [CheckResult(name=name, max_deviation=worst[name], tolerance=tol,
-                        passed=(draws == 0 or worst[name] < tol), draws=draws)
-            for name in names]
-
-
-def _apply_perturb(perturb, case, closed_u, closed_c):
-    lams = perturb(case.value, closed_u + closed_c)
-    return (lams[0], lams[1]), (lams[2], lams[3])
-
-
-def eve_output_variance_oracle(case: AncillaCase, b: BranchParams,
-                               n: NoiseModel) -> float:
-    """Stored-output variance recomputed from the raw mode coefficients."""
-    _, _, c_oa, c_oe = _mode_coefficients(case, b)
-    return (abs(c_oa) ** 2) * n.v_a + (abs(c_oe) ** 2) * n.v_e
-
-
-def v_corr_oracle(case: AncillaCase, b: BranchParams, n: NoiseModel) -> complex:
-    """Output/EPR-half cross term recomputed from the raw mode coefficients."""
-    _, _, _, c_oe = _mode_coefficients(case, b)
-    return c_oe * math.sqrt(n.v_e ** 2 - 1.0)
+    cases = tuple(AncillaCase)
+    kinds = ("eigs_unconditional", "eigs_conditional", "cond_blocks")
+    worst = np.zeros((len(cases), len(kinds)))
+    size = VERIFY_BLOCK
+    entries = np.empty((size, len(cases), 6), dtype=complex)
+    closed = np.empty((size, len(cases), 4))  # closed-form lam1..lam4
+    blocks = np.empty((size, len(cases), 4, 4), dtype=complex)
+    pairs = np.empty((size, len(cases), 2, 4, 4), dtype=complex)  # stored, conditioned
+    for start in range(0, draws, size):
+        m = min(size, draws - start)
+        for i in range(m):
+            b, n = random_branch(rng)
+            for c, case in enumerate(cases):
+                entries[i, c] = _joint_entries(case, b, n)
+                lams = (symplectic_eigs_unconditional(case, b, n)
+                        + symplectic_eigs_conditional(case, b, n))
+                closed[i, c] = lams if perturb is None else perturb(case.value, lams)
+                blocks[i, c] = conditional_cov(case, b, n).as_matrix()
+        joint = _joint_stack(entries[:m])
+        pairs[:m, :, 0] = joint[..., 2:, 2:]
+        pairs[:m, :, 1] = _homodyne_x(joint)
+        oracle = numeric_symplectic_eigs(pairs[:m]).reshape(m, len(cases), 4)
+        dev = np.abs(closed[:m] - oracle) / np.maximum(np.abs(oracle), 1e-300)
+        cond = pairs[:m, :, 1]
+        dev_b = (np.abs(blocks[:m] - cond).max(axis=(-2, -1))
+                 / np.maximum(1.0, np.abs(cond).max(axis=(-2, -1))))
+        block_worst = np.stack([dev[..., :2].max(axis=-1), dev[..., 2:].max(axis=-1),
+                                dev_b], axis=-1).max(axis=0)
+        worst = np.maximum(worst, block_worst)
+    return [CheckResult(name=f"{kind}[{case.value}]",
+                        max_deviation=float(worst[c, k]), tolerance=tol,
+                        passed=bool(draws == 0 or worst[c, k] < tol), draws=draws)
+            for c, case in enumerate(cases) for k, kind in enumerate(kinds)]
 
 
 def _complex_block(c: complex) -> np.ndarray:

@@ -43,7 +43,6 @@ BOLTZMANN = 1.380649e-23  # J/K
 NEGATIVITY_TOL = 1e-9  # eigenvalues below 1 - this count as model negativity
 
 _PAULI_Z = np.diag([1.0, -1.0])
-_OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class NumericDomainError(ArithmeticError):
@@ -169,22 +168,13 @@ class TwoModeCov:
     v_out: float
     v_e: float
     v_corr: complex
-    coupling: str = "z"
 
     def as_matrix(self) -> np.ndarray:
-        if self.coupling == "z":
-            off = self.v_corr * _PAULI_Z
-            off_h = np.conj(self.v_corr) * _PAULI_Z
-        elif self.coupling == "omega":
-            off = self.v_corr * _OMEGA2
-            off_h = np.conj(self.v_corr) * _OMEGA2.T
-        else:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
         k = np.zeros((4, 4), dtype=complex)
         k[:2, :2] = self.v_out * np.eye(2)
         k[2:, 2:] = self.v_e * np.eye(2)
-        k[:2, 2:] = off
-        k[2:, :2] = off_h
+        k[:2, 2:] = self.v_corr * _PAULI_Z
+        k[2:, :2] = np.conj(self.v_corr) * _PAULI_Z
         return k
 
 

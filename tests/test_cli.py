@@ -76,6 +76,30 @@ def test_emit_csv_marks_row_errors(tmp_path):
     assert "error:" in lines[2]
 
 
+def test_sweep_counts_clamps_once_per_row(tmp_path):
+    # at 1-2 mm all three transmissivities clamp; every case carries the
+    # same three clamps, and the cell adds each case's negativity count
+    out = tmp_path / "clamped.csv"
+    assert main(["sweep", "--variable", "distance", "--grid", "0.001:0.002:2",
+                 "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["3", "3"]
+    spec = SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=(0.001,),
+                     base=default_scenario())
+    reports = run_sweep(spec).rows[0].reports.values()
+    assert [r.warnings.beta_clamped for r in reports] == [3, 3, 3]
+    assert sum(r.warnings.eigen_negativity for r in reports) == 0
+
+
+def test_readme_ris_elements_example_has_no_error_rows(tmp_path):
+    out = tmp_path / "k.csv"
+    assert main(["sweep", "--variable", "ris-elements", "--grid", "196:1156:3",
+                 "--cases", "f", "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["196", "676", "1156"]
+    assert not any("error:" in line for line in lines)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["sweep", "--variable", "distance", "--grid", "bad"]) == 1
     assert main(["sweep", "--variable", "nope", "--grid", "1:2:2"]) == 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ris_cvqkd import oracle
 from ris_cvqkd.decomposition import make_branch
 from ris_cvqkd.oracle import (REGISTER_MODES, bona_fide_margin,
                               conditional_cov_oracle,
@@ -155,6 +156,78 @@ def test_run_verification_detects_corrupted_closed_form():
     by_name = {check.name: check for check in results}
     assert not by_name["eigs_unconditional[g]"].passed
     assert by_name["eigs_unconditional[d]"].passed
+
+
+# --- stacked eigensolver and exact sector determinant -------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_stacked_eigs_match_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(127)
+    stack = np.empty((60, 3, 2, 4, 4), dtype=complex)
+    for i in range(60):
+        b, n = random_branch(rng)
+        for c, case in enumerate(AncillaCase):
+            stack[i, c, 0] = joint_cov(case, b, n)[2:, 2:]
+            stack[i, c, 1] = conditional_cov_oracle(case, b, n)
+    lam = numeric_symplectic_eigs(stack)
+    assert lam.shape == (60, 3, 2, 2)
+    # the grid must reach the refinement of the small eigenvalue
+    assert np.any(lam[..., 1] < 1e-2 * lam[..., 0])
+    for index in np.ndindex(stack.shape[:3]):
+        single = numeric_symplectic_eigs(stack[index])
+        assert all(type(x) is float for x in single)
+        assert single == tuple(lam[index])
+
+
+def test_exact_sector_small_eig_matches_extended_precision():
+    r = 4.0  # near-pure two-mode squeezed state: det K cancels to about 1
+    k = TwoModeCov(v_out=math.cosh(2 * r), v_e=math.cosh(2 * r),
+                   v_corr=math.sinh(2 * r)).as_matrix()
+    assert oracle._sectors_decouple(k[None])[0]
+    lam1, _ = numeric_symplectic_eigs(k)
+    exact = oracle._small_eig_from_sectors(k, lam1)
+    reference = oracle._small_eig_from_det(k, lam1)
+    assert abs(exact - reference) <= 1e-15 * reference
+
+
+def test_cross_quadrature_terms_take_extended_precision_fallback(monkeypatch):
+    # a sub-vacuum pair (lam2 / lam1 ~ 2e-5); a local rotation of the first
+    # mode keeps its symplectic spectrum but mixes x1 with p2
+    k = TwoModeCov(v_out=100.0, v_e=1.0, v_corr=9.99).as_matrix()
+    theta = 0.3
+    rot = np.eye(4)
+    rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],
+                   [math.sin(theta), math.cos(theta)]]
+    mixed = rot @ k @ rot.T
+    assert mixed[0, 3] != 0.0
+    sectors = _count_calls(monkeypatch, "_small_eig_from_sectors")
+    fallback = _count_calls(monkeypatch, "_small_eig_from_det")
+    lam = numeric_symplectic_eigs(mixed)
+    assert (len(sectors), len(fallback)) == (0, 1)
+    assert lam[1] < 1e-2 * lam[0]
+    assert lam == pytest.approx(numeric_symplectic_eigs_direct(mixed), rel=1e-7)
+    assert lam == pytest.approx(numeric_symplectic_eigs(k), rel=1e-9)
+    assert len(sectors) == 1
+
+
+def test_run_verification_never_takes_extended_precision(monkeypatch):
+    sectors = _count_calls(monkeypatch, "_small_eig_from_sectors")
+    fallback = _count_calls(monkeypatch, "_small_eig_from_det")
+    results = run_verification(200, seed=42)
+    assert all(check.passed for check in results)
+    assert fallback == []
+    assert len(sectors) > 0
 
 
 # --- independent-probe attack model ------------------------------------------
