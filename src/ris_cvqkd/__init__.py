@@ -2,8 +2,7 @@
 
 from .channel import (ArrayGeometry, ChannelTriple, PathSpec, RisGeometry,
                       Scenario, array_response, build_channels,
-                      composite_channel, line_of_sight_path, path_loss,
-                      ris_response)
+                      line_of_sight_path, path_loss, ris_response)
 from .config import default_scenario, load_scenario
 from .decomposition import (BranchParams, PhysicalityError, SvdBundle,
                             branch_params, decompose, make_branch)

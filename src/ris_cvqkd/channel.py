@@ -263,12 +263,3 @@ def build_channels(scenario: Scenario) -> ChannelTriple:
         lambda p: array_response(n_rx, p.aoa, scenario.rx.element_spacing, lam),
         lambda p: ris_response(scenario.ris, p.elevation, p.aod, lam))
     return ChannelTriple(h_d=h_d, h_g=h_g, h_f=h_f)
-
-
-def composite_channel(t: ChannelTriple, ris: RisGeometry) -> np.ndarray:
-    """Effective end-to-end matrix: direct term plus the phase-shifted
-    reflected cascade."""
-    if t.h_f.shape[1] != ris.element_count or t.h_g.shape[0] != ris.element_count:
-        raise ValueError("RIS dimension mismatch between channels and geometry")
-    phases = np.full(ris.element_count, ris.common_phase)
-    return t.h_d + t.h_f @ np.diag(np.exp(1j * phases)) @ t.h_g

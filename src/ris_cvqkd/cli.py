@@ -11,7 +11,8 @@ import math
 import sys
 
 from . import experiments, oracle
-from .config import ConfigError, default_scenario, load_scenario
+from .channel import Scenario
+from .config import ConfigError, apply_overrides, load_scenario, make_scenario
 from .decomposition import PhysicalityError
 from .experiments import SweepResult, SweepSpec, SweepVariable
 from .qkd import AncillaCase, NumericDomainError
@@ -65,18 +66,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count))
 
 
-def _load(args) -> "tuple":
-    overrides = args.set or []
+def _load(args) -> Scenario:
     if args.config:
-        return load_scenario(args.config, overrides)
-    scenario = default_scenario()
-    if overrides:
-        from .config import apply_overrides, make_scenario, resolve_params
-        params = apply_overrides({}, overrides)
-        scenario = make_scenario(params)
-        return scenario, resolve_params(params)
-    from .config import resolve_params
-    return scenario, resolve_params({})
+        return load_scenario(args.config, args.set)[0]
+    return make_scenario(apply_overrides({}, args.set))
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
@@ -112,7 +105,7 @@ def emit_csv(result: SweepResult, path: str) -> None:
 
 
 def _cmd_skr(args) -> int:
-    scenario, _ = _load(args)
+    scenario = _load(args)
     cases = _parse_cases(args.cases)
     reports = experiments.evaluate_scenario(scenario, cases)
     print(f"branches: {len(next(iter(reports.values())).branches)}")
@@ -125,7 +118,7 @@ def _cmd_skr(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario, _ = _load(args)
+    scenario = _load(args)
     spec = SweepSpec(variable=SweepVariable(args.variable),
                      grid=_parse_grid(args.grid),
                      base=scenario, cases=_parse_cases(args.cases))
@@ -145,7 +138,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize_phase(args) -> int:
-    scenario, _ = _load(args)
+    scenario = _load(args)
     for case in _parse_cases(args.cases):
         opt = experiments.optimal_phase(scenario, case, resolution=args.resolution)
         print(f"case {case.value}: phi* = {_fmt(opt.phi_star)} rad"
@@ -155,7 +148,7 @@ def _cmd_optimize_phase(args) -> int:
 
 
 def _cmd_max_distance(args) -> int:
-    scenario, _ = _load(args)
+    scenario = _load(args)
     cases = _parse_cases(args.cases)
     if args.grid:
         frequencies = _parse_grid(args.grid)
@@ -186,7 +179,7 @@ def _cmd_max_distance(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    scenario, _ = _load(args)
+    scenario = _load(args)
     distances = _parse_grid(args.grid) if args.grid else None
     result = experiments.no_ris_baseline(scenario, distances)
     if args.output:

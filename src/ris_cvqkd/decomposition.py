@@ -1,9 +1,10 @@
-"""SVD decomposition of the channel triple into parallel beamsplitter branches.
+"""Decomposition of the channel triple into parallel beamsplitter branches.
 
-Each channel matrix H = U D V^H yields per-branch power transmissivities
-(squared singular values).  Branch i pairs the i-th strongest singular value
-of each of the three channels; the RIS common phase and the derived complex
-coefficients of the reflected path are attached per branch.
+The singular values of each channel matrix give its per-branch power
+transmissivities (their squares); the singular vectors are never needed.
+Branch i pairs the i-th strongest singular value of each of the three
+channels; the RIS common phase and the derived complex coefficients of the
+reflected path are attached per branch.
 """
 
 from __future__ import annotations
@@ -25,19 +26,10 @@ class PhysicalityError(ValueError):
 
 @dataclass(frozen=True)
 class SvdBundle:
-    """Full SVD record of one channel matrix."""
+    """Singular-value record of one channel matrix."""
 
-    u: np.ndarray
-    d: np.ndarray  # rectangular, sqrt(transmissivities) on the diagonal
-    v: np.ndarray
-    s: np.ndarray  # residual tap matrix, sqrt(1 - beta) then ones
+    betas: np.ndarray  # squared singular values of the ``rank`` ranked branches
     rank: int
-
-    @property
-    def betas(self) -> np.ndarray:
-        """Squared singular values of the first ``rank`` branches."""
-        r = self.rank
-        return np.square(np.diagonal(self.d)[:r].real)
 
 
 @dataclass(frozen=True)
@@ -62,6 +54,7 @@ class BranchParams:
 def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
                 index: int = 1) -> BranchParams:
     """Build a branch record from raw transmissivities and the common phase."""
+    beta_d, beta_g, beta_f, phi = float(beta_d), float(beta_g), float(beta_f), float(phi)
     for name, b in (("beta_d", beta_d), ("beta_g", beta_g), ("beta_f", beta_f)):
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"{name}={b} outside [0, 1]")
@@ -81,25 +74,18 @@ def _effective_rank(singular_values: np.ndarray) -> int:
 
 
 def _decompose_one(h: np.ndarray) -> SvdBundle:
-    h = np.asarray(h, dtype=complex)
+    # the reduced SVD, not compute_uv=False: the values-only LAPACK driver
+    # moves singular values by a few ulp of the largest one
     try:
-        u, sv, vh = np.linalg.svd(h, full_matrices=True)
+        _, sv, _ = np.linalg.svd(np.asarray(h, dtype=complex), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
-    r_x, t_x = h.shape
-    n_min = min(r_x, t_x)
-    d = np.zeros((r_x, t_x))
-    d[:n_min, :n_min] = np.diag(sv)
     rank = _effective_rank(sv)
-    # residual diagonal: sqrt(1 - beta) on ranked slots, 1 afterwards;
-    # beta > 1 slots are floored at 0 (physicality handled downstream)
-    s_diag = np.ones(n_min)
-    s_diag[:rank] = np.sqrt(np.maximum(0.0, 1.0 - sv[:rank] ** 2))
-    return SvdBundle(u=u, d=d, v=vh.conj().T, s=np.diag(s_diag), rank=rank)
+    return SvdBundle(betas=np.square(sv[:rank]), rank=rank)
 
 
 def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
-    """SVD of all three channels, singular values sorted descending."""
+    """Singular values of all three channels, sorted descending."""
     return _decompose_one(t.h_d), _decompose_one(t.h_g), _decompose_one(t.h_f)
 
 
@@ -117,14 +103,12 @@ def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],
     """
     if clamp_policy not in ("clamp", "strict"):
         raise ValueError(f"unknown clamp_policy {clamp_policy!r}")
-    b_d, b_g, b_f = bundles
     r = min(b.rank for b in bundles)
     clamped = 0
     branches: list[BranchParams] = []
     for i in range(r):
-        raw = [b_d.betas[i], b_g.betas[i], b_f.betas[i]]
         fixed = []
-        for value in raw:
+        for value in (b.betas[i] for b in bundles):
             if value > 1.0:
                 if clamp_policy == "strict" and value > 1.0 + 1e-12:
                     raise PhysicalityError(

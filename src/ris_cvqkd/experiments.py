@@ -2,8 +2,10 @@
 
 Covers key rate versus distance / RIS size / RIS phase / carrier frequency /
 antenna count, the optimal-common-phase search, the maximum secure distance,
-and the no-RIS baseline.  Every grid point is a pure function of the scenario,
-so results are deterministic.
+and the no-RIS baseline, all through one evaluator that decomposes a scenario
+once and rates its branches, optionally at another common phase or with the
+RIS-to-receiver tap closed.  Every grid point is a pure function of the
+scenario, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import PathSpec, Scenario, build_channels
-from .decomposition import BranchParams, branch_params, decompose, make_branch
+from .decomposition import branch_params, decompose, make_branch
 from .qkd import AncillaCase, NoiseModel, SkrReport, total_skr
 
 GEOMETRY_RATIOS = (0.4, 0.7)  # (alice-ris, ris-bob) legs as fractions of d_ab
@@ -37,8 +39,6 @@ class SweepSpec:
     grid: tuple[float, ...]
     base: Scenario
     cases: tuple[AncillaCase, ...] = tuple(AncillaCase)
-    geometry_ratios: tuple[float, float] = GEOMETRY_RATIOS
-    clamp_policy: str = "clamp"
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.grid)
@@ -71,14 +71,37 @@ def noise_model(scenario: Scenario) -> NoiseModel:
                                 scenario.modulation_variance, scenario.eve_variance)
 
 
-def evaluate_scenario(scenario: Scenario, cases=tuple(AncillaCase),
-                      clamp_policy: str = "clamp") -> dict[AncillaCase, SkrReport]:
-    """Full pipeline: channels -> branch decomposition -> per-case key rate."""
+def _evaluator(scenario: Scenario):
+    """Run channels -> decomposition -> branches -> noise once for a scenario.
+
+    Returns ``reports(cases, phi=None, ris_tap_closed=False)``, the per-case
+    key-rate reports.  ``phi`` replaces the common phase and
+    ``ris_tap_closed`` sets beta_f = 0 (the no-RIS equivalent), either by
+    rebuilding every branch.  The channels do not depend on the phase, so one
+    evaluator serves a whole phase search.
+    """
     bundles = decompose(build_channels(scenario))
-    branches, clamped = branch_params(bundles, scenario.ris, clamp_policy)
+    branches, clamped = branch_params(bundles, scenario.ris)
     noise = noise_model(scenario)
-    return {case: total_skr(case, branches, noise, beta_clamp_count=clamped)
-            for case in cases}
+
+    def reports(cases, phi: float | None = None,
+                ris_tap_closed: bool = False) -> dict[AncillaCase, SkrReport]:
+        evaluated = branches
+        if phi is not None or ris_tap_closed:
+            evaluated = [make_branch(b.beta_d, b.beta_g,
+                                     0.0 if ris_tap_closed else b.beta_f,
+                                     b.phi if phi is None else phi, b.branch_index)
+                         for b in branches]
+        return {case: total_skr(case, evaluated, noise, beta_clamp_count=clamped)
+                for case in cases}
+
+    return reports
+
+
+def evaluate_scenario(scenario: Scenario,
+                      cases=tuple(AncillaCase)) -> dict[AncillaCase, SkrReport]:
+    """Full pipeline: channels -> branch decomposition -> per-case key rate."""
+    return _evaluator(scenario)(cases)
 
 
 def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec, ...]:
@@ -90,13 +113,12 @@ def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec,
     return tuple(out)
 
 
-def scenario_at_distance(base: Scenario, d_ab: float,
-                         ratios: tuple[float, float] = GEOMETRY_RATIOS) -> Scenario:
+def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
     """Move the endpoints apart, keeping the fixed leg ratios and rescaling
     every path proportionally to its channel's leg."""
     if not d_ab > 0:
         raise ValueError("distance must be > 0")
-    d_ar, d_rb = ratios[0] * d_ab, ratios[1] * d_ab
+    d_ar, d_rb = GEOMETRY_RATIOS[0] * d_ab, GEOMETRY_RATIOS[1] * d_ab
     return dataclasses.replace(
         base,
         d_alice_bob=d_ab, d_alice_ris=d_ar, d_ris_bob=d_rb,
@@ -158,30 +180,29 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
+def _sweep(base: Scenario, variable: SweepVariable, grid, cases,
+           ris_tap_closed: bool = False) -> SweepResult:
     """Evaluate the pipeline on every grid point, in grid order.
 
     Numeric failures at a point are recorded on its row instead of aborting
     the sweep.
     """
+    transform = _SCENARIO_TRANSFORMS[variable]
     rows: list[SweepRow] = []
-    for value in spec.grid:
+    for value in map(float, grid):
         try:
-            if spec.variable is SweepVariable.DISTANCE_AB:
-                scenario = scenario_at_distance(spec.base, value, spec.geometry_ratios)
-            else:
-                scenario = _SCENARIO_TRANSFORMS[spec.variable](spec.base, value)
-            reports = evaluate_scenario(scenario, spec.cases, spec.clamp_policy)
+            reports = _evaluator(transform(base, value))(
+                cases, ris_tap_closed=ris_tap_closed)
             rows.append(SweepRow(value=value, reports=reports))
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(value=value, reports=None, error=str(exc)))
-    return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(rows),
-                       scenario_digest=scenario_digest(spec.base))
+    return SweepResult(variable=variable, cases=tuple(cases), rows=tuple(rows),
+                       scenario_digest=scenario_digest(base))
 
 
-def _branches_at_phase(branches: list[BranchParams], phi: float) -> list[BranchParams]:
-    return [make_branch(b.beta_d, b.beta_g, b.beta_f, phi, b.branch_index)
-            for b in branches]
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the pipeline on every grid point of the spec, in grid order."""
+    return _sweep(spec.base, spec.variable, spec.grid, spec.cases)
 
 
 @dataclass(frozen=True)
@@ -191,8 +212,7 @@ class PhaseOptimum:
 
 
 def optimal_phase(base: Scenario, case: AncillaCase,
-                  resolution: float = math.pi / 256,
-                  clamp_policy: str = "clamp") -> PhaseOptimum:
+                  resolution: float = math.pi / 256) -> PhaseOptimum:
     """Common phase maximizing the key rate, searched over [0, pi].
 
     The rate is even and 2*pi-periodic in the phase, so [0, pi] suffices.
@@ -202,13 +222,10 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
-    bundles = decompose(build_channels(base))
-    branches, clamped = branch_params(bundles, base.ris, clamp_policy)
-    noise = noise_model(base)
+    reports = _evaluator(base)
 
     def rate(phi: float) -> float:
-        return total_skr(case, _branches_at_phase(branches, phi), noise,
-                         beta_clamp_count=clamped).total_skr
+        return reports((case,), phi)[case].total_skr
 
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
@@ -244,9 +261,7 @@ def optimal_phase(base: Scenario, case: AncillaCase,
 def max_secure_distance(base: Scenario, case: AncillaCase,
                         tolerance: float = 0.01,
                         d_min: float = 0.5, d_max: float = 200.0,
-                        grid_points: int = 64,
-                        ratios: tuple[float, float] = GEOMETRY_RATIOS,
-                        skr_fn=None) -> float:
+                        grid_points: int = 64, skr_fn=None) -> float:
     """Largest distance with a positive key rate, by scan plus bisection.
 
     The leg-ratio geometry is applied at every probe.  If the rate is still
@@ -257,7 +272,7 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
     """
     if skr_fn is None:
         def skr_fn(d: float) -> float:
-            scenario = scenario_at_distance(base, d, ratios)
+            scenario = scenario_at_distance(base, d)
             return evaluate_scenario(scenario, (case,))[case].total_skr
 
     grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
@@ -283,32 +298,10 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
     return 0.5 * (lo + hi)
 
 
-def _zeroed_ris_branches(branches: list[BranchParams]) -> list[BranchParams]:
-    """Close the RIS-to-receiver tap on every branch (no-RIS equivalent)."""
-    return [make_branch(b.beta_d, b.beta_g, 0.0, b.phi, b.branch_index)
-            for b in branches]
-
-
-def no_ris_baseline(base: Scenario, distances=None,
-                    ratios: tuple[float, float] = GEOMETRY_RATIOS,
-                    clamp_policy: str = "clamp") -> SweepResult:
+def no_ris_baseline(base: Scenario, distances=None) -> SweepResult:
     """Key rate with the reflected path removed; only the direct-hop storage
     case is meaningful without a RIS."""
     if distances is None:
         distances = (base.d_alice_bob,)
-    rows: list[SweepRow] = []
-    for d in distances:
-        try:
-            scenario = scenario_at_distance(base, d, ratios)
-            bundles = decompose(build_channels(scenario))
-            branches, clamped = branch_params(bundles, scenario.ris, clamp_policy)
-            noise = noise_model(scenario)
-            report = total_skr(AncillaCase.DIRECT, _zeroed_ris_branches(branches),
-                               noise, beta_clamp_count=clamped)
-            rows.append(SweepRow(value=float(d),
-                                 reports={AncillaCase.DIRECT: report}))
-        except (ValueError, ArithmeticError) as exc:
-            rows.append(SweepRow(value=float(d), reports=None, error=str(exc)))
-    return SweepResult(variable=SweepVariable.DISTANCE_AB,
-                       cases=(AncillaCase.DIRECT,), rows=tuple(rows),
-                       scenario_digest=scenario_digest(base))
+    return _sweep(base, SweepVariable.DISTANCE_AB, distances,
+                  (AncillaCase.DIRECT,), ris_tap_closed=True)

@@ -234,16 +234,29 @@ def symplectic_eigs_unconditional(case: AncillaCase, b: BranchParams,
 class ConditionalCov:
     """Stored-pair covariance conditioned on Bob's measured quadrature.
 
-    All three 2x2 blocks are diagonal; entry 0 is the measured-quadrature
-    sector, entry 1 the orthogonal one.
+    All three 2x2 blocks are diagonal; ``a``, ``b`` and ``c`` hold their
+    diagonals, entry 0 the measured-quadrature sector and entry 1 the
+    orthogonal one.
     """
 
-    a_block: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
+    a: tuple[float, float]
+    b: tuple[float, float]
+    c: tuple[complex, complex]
     nabla_tilde: float
     det_value: float
     conditioning_variance: float
+
+    @property
+    def a_block(self) -> np.ndarray:
+        return np.diag(self.a)
+
+    @property
+    def b_block(self) -> np.ndarray:
+        return np.diag(self.b)
+
+    @property
+    def c_block(self) -> np.ndarray:
+        return np.diag(self.c)
 
     def as_matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -315,15 +328,11 @@ def conditional_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
                 a1 = eve_output_variance(case, b, n)
                 c0 = b.beta_g * v_a * math.sqrt(b.beta_f * t) / v_b
                 c1 = -b.beta_f_tilde * math.sqrt(t)
-    a_block = np.diag([complex(a0), complex(a1)])
-    b_block = np.diag([complex(b0), complex(v_e)])
-    c_block = np.diag([c0, c1])
     nabla = a0 * a1 + b0 * v_e + 2.0 * (c0 * c1).real
     d0 = _nonneg(a0 * b0 - abs(c0) ** 2, a0 * b0)
     d1 = _nonneg(a1 * v_e - abs(c1) ** 2, a1 * v_e)
-    return ConditionalCov(a_block=a_block, b_block=b_block, c_block=c_block,
-                          nabla_tilde=nabla, det_value=d0 * d1,
-                          conditioning_variance=v_b)
+    return ConditionalCov(a=(a0, a1), b=(b0, v_e), c=(c0, c1), nabla_tilde=nabla,
+                          det_value=d0 * d1, conditioning_variance=v_b)
 
 
 def symplectic_eigs_conditional(case: AncillaCase, b: BranchParams,
@@ -444,7 +453,7 @@ class SkrReport:
 
     @property
     def total_holevo(self) -> float:
-        return sum(rec.holevo for rec in self.branches)
+        return sum((rec.holevo for rec in self.branches), 0.0)
 
 
 def total_skr(case: AncillaCase, branches, n: NoiseModel,

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ris_cvqkd.channel import (ArrayGeometry, ChannelTriple, PathSpec,
-                               RisGeometry, array_response,
-                               build_channels, composite_channel,
+from ris_cvqkd.channel import (ArrayGeometry, PathSpec, RisGeometry,
+                               array_response, build_channels,
                                line_of_sight_path, path_loss, ris_response)
 from ris_cvqkd.config import default_scenario
 
@@ -233,55 +232,6 @@ def test_build_channels_requires_paths():
     scenario = dataclasses.replace(_scenario(), multipaths_d=())
     with pytest.raises(ValueError):
         build_channels(scenario)
-
-
-def test_composite_channel_without_ris_path():
-    rng = np.random.default_rng(11)
-    h_d = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    h_g = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    t = ChannelTriple(h_d=h_d, h_g=h_g, h_f=np.zeros((3, 4)))
-    ris = RisGeometry(k_x=2, k_y=2, spacing_x=1e-5, spacing_y=1e-5,
-                      common_phase=1.1)
-    np.testing.assert_allclose(composite_channel(t, ris), h_d)
-
-
-def test_composite_channel_single_element():
-    rng = np.random.default_rng(13)
-    h_d = rng.normal(size=(2, 2)) + 0j
-    h_g = rng.normal(size=(1, 2)) + 0j
-    h_f = rng.normal(size=(2, 1)) + 0j
-    t = ChannelTriple(h_d=h_d, h_g=h_g, h_f=h_f)
-    ris = RisGeometry(k_x=1, k_y=1, spacing_x=1e-5, spacing_y=1e-5,
-                      common_phase=0.0)
-    np.testing.assert_allclose(composite_channel(t, ris), h_d + h_f @ h_g)
-
-
-def test_composite_channel_matches_matrix_oracle():
-    rng = np.random.default_rng(17)
-    h_d = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    h_g = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    h_f = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-    t = ChannelTriple(h_d=h_d, h_g=h_g, h_f=h_f)
-    ris = RisGeometry(k_x=2, k_y=3, spacing_x=1e-5, spacing_y=1e-5,
-                      common_phase=0.77)
-    phase_matrix = np.diag([cmath.exp(1j * 0.77)] * 6)
-    np.testing.assert_allclose(composite_channel(t, ris),
-                               h_d + h_f @ phase_matrix @ h_g, rtol=1e-14)
-
-
-def test_composite_channel_phase_periodicity():
-    rng = np.random.default_rng(19)
-    h_d = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h_g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    h_f = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    t = ChannelTriple(h_d=h_d, h_g=h_g, h_f=h_f)
-
-    def at(phase):
-        ris = RisGeometry(k_x=2, k_y=2, spacing_x=1e-5, spacing_y=1e-5,
-                          common_phase=phase)
-        return composite_channel(t, ris)
-
-    np.testing.assert_allclose(at(0.9), at(0.9 + 2.0 * math.pi), atol=1e-12)
 
 
 def test_scenario_validation():

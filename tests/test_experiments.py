@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from ris_cvqkd.config import default_scenario
-from ris_cvqkd.experiments import (GEOMETRY_RATIOS, SweepSpec, SweepVariable,
-                                   evaluate_scenario, max_secure_distance,
-                                   no_ris_baseline, noise_model, optimal_phase,
-                                   run_sweep, scenario_at_distance,
-                                   scenario_with_frequency,
+from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
+                                   max_secure_distance, no_ris_baseline,
+                                   noise_model, optimal_phase, run_sweep,
+                                   scenario_at_distance, scenario_with_frequency,
                                    scenario_with_ris_elements)
 from ris_cvqkd.qkd import AncillaCase
 
@@ -105,6 +104,18 @@ def test_optimal_phase_dominates_grid_samples():
             assert opt.skr_star >= sample - 1e-15
 
 
+def test_optimal_phase_rate_matches_fresh_evaluation_at_that_phase():
+    # the search rebuilds decomposed branches at each phase; a phase sweep
+    # runs the whole pipeline on a scenario carrying that phase
+    base = default_scenario(d_ab=20.0, extra_paths_d=2, extra_paths_g=2,
+                            extra_paths_f=2)
+    for case in AncillaCase:
+        opt = optimal_phase(base, case, resolution=math.pi / 32)
+        spec = SweepSpec(variable=SweepVariable.RIS_PHASE, grid=(opt.phi_star,),
+                         base=base, cases=(case,))
+        assert run_sweep(spec).rows[0].reports[case].total_skr == opt.skr_star
+
+
 def test_optimal_phase_known_endpoints():
     base = scenario_at_distance(default_scenario(), 5.0)
     opt_d = optimal_phase(base, AncillaCase.DIRECT, resolution=math.pi / 128)
@@ -175,6 +186,33 @@ def test_reference_scenario_reflected_case_is_positive():
         rec.i_ab_direct + rec.i_ab_ris - rec.holevo, rel=1e-12)
 
 
+@pytest.mark.parametrize("overrides", [{"v_e": 1e6}, {"d_ab": 1e4}, {"d_ab": 1e-3}])
+def test_totals_are_plain_floats(overrides):
+    for report in evaluate_scenario(default_scenario(**overrides)).values():
+        assert type(report.total_skr) is float
+        assert type(report.total_holevo) is float
+
+
+def test_path_loss_underflow_gives_zero_branches():
+    # at 10 km every singular value falls below the rank cutoff
+    for report in evaluate_scenario(default_scenario(d_ab=1e4)).values():
+        assert report.branches == ()
+        assert report.total_skr == 0.0
+        assert report.total_holevo == 0.0
+        assert report.warnings.total == 0
+
+
+def test_all_transmissivities_clamped():
+    # at 1 mm all three channel gains exceed 1: one lossless branch
+    reports = evaluate_scenario(default_scenario(d_ab=1e-3))
+    for report in reports.values():
+        assert len(report.branches) == 1
+        assert report.warnings.beta_clamped == 3
+    rates = {report.total_skr for report in reports.values()}
+    assert len(rates) == 1
+    assert math.isfinite(rates.pop())
+
+
 def test_baseline_reflected_path_carries_nothing():
     base = default_scenario()
     result = no_ris_baseline(base, distances=(5.0, 10.0))
@@ -191,7 +229,7 @@ def test_baseline_matches_closed_tap_equivalence():
     from ris_cvqkd.qkd import total_skr
 
     base = default_scenario()
-    scenario = scenario_at_distance(base, 10.0, GEOMETRY_RATIOS)
+    scenario = scenario_at_distance(base, 10.0)
     bundles = decompose(build_channels(scenario))
     branches, clamped = branch_params(bundles, scenario.ris)
     forced = [make_branch(b.beta_d, b.beta_g, 0.0, b.phi, b.branch_index)
