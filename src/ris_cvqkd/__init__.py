@@ -4,16 +4,16 @@ from .channel import (ArrayGeometry, ChannelTriple, PathSpec, RisGeometry,
                       Scenario, array_response, build_channels,
                       line_of_sight_path, path_loss, ris_response)
 from .config import default_scenario, load_scenario
-from .decomposition import (BranchParams, PhysicalityError, SvdBundle,
-                            branch_params, decompose, make_branch)
+from .decomposition import (BranchParams, SvdBundle, branch_params, decompose,
+                            make_branch)
 from .experiments import (PhaseOptimum, SweepResult, SweepSpec, SweepVariable,
                           evaluate_scenario, max_secure_distance,
                           no_ris_baseline, optimal_phase, run_sweep)
 from .qkd import (AncillaCase, AttackModel, BranchRecord, NoiseModel,
-                  NumericDomainError, Path, SkrReport, TwoModeCov,
+                  NumericDomainError, PairCov, Path, SkrReport,
                   bob_variances, branch_skr, conditional_cov, eve_cov,
-                  eve_output_variance, holevo_h,
-                  holevo_info, mutual_info_ab, symplectic_eigs_conditional,
+                  eve_output_variance, holevo_h, mutual_info_ab,
+                  symplectic_eigs_conditional,
                   symplectic_eigs_unconditional, thermal_occupation, total_skr)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

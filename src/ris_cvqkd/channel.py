@@ -145,7 +145,7 @@ class ChannelTriple:
     def __post_init__(self):
         for name in ("h_d", "h_g", "h_f"):
             m = np.asarray(getattr(self, name), dtype=complex)
-            if not np.all(np.isfinite(m.view(float))):
+            if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, m)
 

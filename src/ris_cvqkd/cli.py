@@ -1,7 +1,6 @@
 """Command-line interface: evaluation, sweeps, searches, CSV output, verify.
 
-Exit codes: 0 success, 1 usage/config error, 2 numeric or physicality error,
-3 I/O error.
+Exit codes: 0 success, 1 usage/config error, 2 numeric error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import sys
 from . import experiments, oracle
 from .channel import Scenario
 from .config import ConfigError, apply_overrides, load_scenario, make_scenario
-from .decomposition import PhysicalityError
 from .experiments import SweepResult, SweepSpec, SweepVariable
 from .qkd import AncillaCase, NumericDomainError
 
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PhysicalityError, NumericDomainError, ArithmeticError) as exc:
+    except (NumericDomainError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -15,6 +15,8 @@ import math
 from .channel import (ArrayGeometry, PathSpec, RisGeometry, Scenario,
                       line_of_sight_path)
 
+GEOMETRY_RATIOS = (0.4, 0.7)  # (alice-ris, ris-bob) legs as fractions of d_ab
+
 # canonical key -> (type, default); None defaults are derived after parsing
 SCHEMA: dict[str, tuple[type, object]] = {
     "carrier_frequency_hz": (float, 1e13),
@@ -35,8 +37,8 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "ris_phase_rad": (float, math.pi / 4),
     "ris_elevation_rad": (float, 0.0),
     "distance_alice_bob_m": (float, 10.0),
-    "distance_alice_ris_m": (float, None),  # default: 0.4 * distance_alice_bob_m
-    "distance_ris_bob_m": (float, None),  # default: 0.7 * distance_alice_bob_m
+    "distance_alice_ris_m": (float, None),  # default: GEOMETRY_RATIOS[0] * d_ab
+    "distance_ris_bob_m": (float, None),  # default: GEOMETRY_RATIOS[1] * d_ab
     "los_aod_rad": (float, 0.0),
     "los_aoa_rad": (float, 0.0),
     "extra_paths_d": (int, 0),
@@ -123,9 +125,9 @@ def resolve_params(params: dict) -> dict:
     full.update(params)
     d_ab = full["distance_alice_bob_m"]
     if full["distance_alice_ris_m"] is None:
-        full["distance_alice_ris_m"] = 0.4 * d_ab
+        full["distance_alice_ris_m"] = GEOMETRY_RATIOS[0] * d_ab
     if full["distance_ris_bob_m"] is None:
-        full["distance_ris_bob_m"] = 0.7 * d_ab
+        full["distance_ris_bob_m"] = GEOMETRY_RATIOS[1] * d_ab
     return full
 
 

@@ -20,10 +20,6 @@ from .channel import ChannelTriple, RisGeometry
 RANK_CUTOFF = 1e-12  # relative to the largest singular value
 
 
-class PhysicalityError(ValueError):
-    """A transmissivity left the [0, 1] beamsplitter range under strict policy."""
-
-
 @dataclass(frozen=True)
 class SvdBundle:
     """Singular-value record of one channel matrix."""
@@ -90,19 +86,16 @@ def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
 
 
 def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],
-                  ris: RisGeometry, clamp_policy: str = "clamp",
-                  ) -> tuple[list[BranchParams], int]:
+                  ris: RisGeometry) -> tuple[list[BranchParams], int]:
     """Pair the branches of the three channels and derive per-branch coefficients.
 
     The branch count is the smallest effective rank among the three channels.
     Transmissivities above 1 (possible at short range with large array gains)
-    are clamped to 1 under the default policy, with the number of clamped
-    values returned; ``clamp_policy="strict"`` raises instead.
+    are clamped to 1, and the number of values clamped by more than 1e-12 is
+    returned.
 
     Returns (branches, clamp_count).
     """
-    if clamp_policy not in ("clamp", "strict"):
-        raise ValueError(f"unknown clamp_policy {clamp_policy!r}")
     r = min(b.rank for b in bundles)
     clamped = 0
     branches: list[BranchParams] = []
@@ -110,9 +103,6 @@ def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],
         fixed = []
         for value in (b.betas[i] for b in bundles):
             if value > 1.0:
-                if clamp_policy == "strict" and value > 1.0 + 1e-12:
-                    raise PhysicalityError(
-                        f"branch {i + 1} transmissivity {value} exceeds 1")
                 if value > 1.0 + 1e-12:
                     clamped += 1
                 value = 1.0

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .channel import PathSpec, Scenario, build_channels
+from .config import GEOMETRY_RATIOS
 from .decomposition import branch_params, decompose, make_branch
 from .qkd import AncillaCase, NoiseModel, SkrReport, total_skr
-
-GEOMETRY_RATIOS = (0.4, 0.7)  # (alice-ris, ris-bob) legs as fractions of d_ab
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

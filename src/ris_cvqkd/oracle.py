@@ -25,7 +25,7 @@ import numpy as np
 
 from .decomposition import BranchParams, make_branch
 from .qkd import (AncillaCase, NoiseModel, NumericDomainError, Path,
-                  conditional_cov, symplectic_eigs_conditional,
+                  _conditional_eigs, conditional_cov,
                   symplectic_eigs_unconditional)
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
@@ -294,10 +294,10 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
             b, n = random_branch(rng)
             for c, case in enumerate(cases):
                 entries[i, c] = _joint_entries(case, b, n)
-                lams = (symplectic_eigs_unconditional(case, b, n)
-                        + symplectic_eigs_conditional(case, b, n))
+                cov = conditional_cov(case, b, n)
+                lams = symplectic_eigs_unconditional(case, b, n) + _conditional_eigs(cov)
                 closed[i, c] = lams if perturb is None else perturb(case.value, lams)
-                blocks[i, c] = conditional_cov(case, b, n).as_matrix()
+                blocks[i, c] = cov.as_matrix()
         joint = _joint_stack(entries[:m])
         pairs[:m, :, 0] = joint[..., 2:, 2:]
         pairs[:m, :, 1] = _homodyne_x(joint)

@@ -3,9 +3,10 @@
 Per branch, the eavesdropper mixes one half of an EPR pair into each of the
 three wireless hops via beamsplitters and keeps the output of exactly one hop
 together with the other EPR half (restricted quantum memory).  This module
-evaluates homodyne variances, the two-mode covariance of the kept pair, its
-symplectic eigenvalues before and after conditioning on Bob's measured
-quadrature, and the resulting reverse-reconciliation key rate.
+evaluates homodyne variances, the covariance of the kept pair (``PairCov``),
+its symplectic eigenvalues before and after Bob's x-quadrature homodyne, which
+rewrites only the x entries of the pair (Weedbrook et al., Rev. Mod. Phys. 84,
+621 (2012)), and the resulting reverse-reconciliation key rate.
 
 Two attack models are available, selected by the ``model`` keyword:
 
@@ -41,8 +42,6 @@ PLANCK = 6.62607015e-34  # J s
 BOLTZMANN = 1.380649e-23  # J/K
 
 NEGATIVITY_TOL = 1e-9  # eigenvalues below 1 - this count as model negativity
-
-_PAULI_Z = np.diag([1.0, -1.0])
 
 
 class NumericDomainError(ArithmeticError):
@@ -157,29 +156,29 @@ def eve_output_variance(case: AncillaCase, b: BranchParams, n: NoiseModel,
 
 
 @dataclass(frozen=True)
-class TwoModeCov:
-    """Two-mode covariance of the stored pair in scalar block form.
+class PairCov:
+    """Covariance of the stored {output, kept EPR half} pair in sector form.
 
-    Diagonal blocks are v_out*I and v_e*I; the off-diagonal block couples the
-    quadratures through the Pauli-z structure of the EPR correlations with
-    (possibly complex) strength v_corr.
+    All three 2x2 blocks are diagonal: ``a`` holds the output block, ``b``
+    the EPR-half block and ``c`` the cross block, each as (x entry, p
+    entry).  Bob's x-quadrature homodyne rewrites only the x entries.
     """
 
-    v_out: float
-    v_e: float
-    v_corr: complex
+    a: tuple[float, float]
+    b: tuple[float, float]
+    c: tuple[complex, complex]
 
     def as_matrix(self) -> np.ndarray:
-        k = np.zeros((4, 4), dtype=complex)
-        k[:2, :2] = self.v_out * np.eye(2)
-        k[2:, 2:] = self.v_e * np.eye(2)
-        k[:2, 2:] = self.v_corr * _PAULI_Z
-        k[2:, :2] = np.conj(self.v_corr) * _PAULI_Z
-        return k
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2] = np.diag(self.a)
+        m[2:, 2:] = np.diag(self.b)
+        m[:2, 2:] = np.diag(self.c)
+        m[2:, :2] = np.diag(np.conj(self.c))
+        return m
 
 
 def eve_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
-            model: AttackModel = AttackModel.PAPER) -> TwoModeCov:
+            model: AttackModel = AttackModel.PAPER) -> PairCov:
     """Covariance of the stored {output, kept EPR half} pair."""
     t = n.v_e ** 2 - 1.0
     if case is AncillaCase.DIRECT:
@@ -190,8 +189,8 @@ def eve_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
         v_corr = math.sqrt(b.beta_f * t)
     else:
         v_corr = b.beta_f_tilde * math.sqrt(t)
-    return TwoModeCov(v_out=eve_output_variance(case, b, n, model), v_e=n.v_e,
-                      v_corr=v_corr)
+    v_out = eve_output_variance(case, b, n, model)
+    return PairCov(a=(v_out, v_out), b=(n.v_e, n.v_e), c=(v_corr, -v_corr))
 
 
 def _nonneg(value: float, scale: float) -> float:
@@ -203,13 +202,14 @@ def _nonneg(value: float, scale: float) -> float:
     raise NumericDomainError(f"radicand {value} negative beyond tolerance")
 
 
-def _two_mode_eigs(a: float, b_: float, c: complex) -> tuple[float, float]:
-    """Symplectic eigenvalues of [[a*I, c*Z], [conj(c)*Z, b*I]].
+def _two_mode_eigs(cov: PairCov) -> tuple[float, float]:
+    """Symplectic eigenvalues of the stored pair [[a*I, c*Z], [conj(c)*Z, b*I]].
 
     Uses the factored discriminant (a-b)^2 * ((a+b)^2 - 4*|c|^2) and recovers
     the small eigenvalue from the determinant to stay accurate when the two
     eigenvalues are far apart.
     """
+    a, b_, c = cov.a[0], cov.b[0], cov.c[0]
     c2 = c.real ** 2 + c.imag ** 2
     nabla = a * a + b_ * b_ - 2.0 * c2
     s = a * b_ - c2  # sqrt of the determinant, signed
@@ -226,50 +226,50 @@ def symplectic_eigs_unconditional(case: AncillaCase, b: BranchParams,
                                   model: AttackModel = AttackModel.PAPER,
                                   ) -> tuple[float, float]:
     """Symplectic eigenvalues of the stored pair before conditioning."""
-    cov = eve_cov(case, b, n, model)
-    return _two_mode_eigs(cov.v_out, cov.v_e, cov.v_corr)
+    return _two_mode_eigs(eve_cov(case, b, n, model))
 
 
-@dataclass(frozen=True)
-class ConditionalCov:
-    """Stored-pair covariance conditioned on Bob's measured quadrature.
-
-    All three 2x2 blocks are diagonal; ``a``, ``b`` and ``c`` hold their
-    diagonals, entry 0 the measured-quadrature sector and entry 1 the
-    orthogonal one.
-    """
-
-    a: tuple[float, float]
-    b: tuple[float, float]
-    c: tuple[complex, complex]
-    nabla_tilde: float
-    det_value: float
-    conditioning_variance: float
-
-    @property
-    def a_block(self) -> np.ndarray:
-        return np.diag(self.a)
-
-    @property
-    def b_block(self) -> np.ndarray:
-        return np.diag(self.b)
-
-    @property
-    def c_block(self) -> np.ndarray:
-        return np.diag(self.c)
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = self.a_block
-        m[2:, 2:] = self.b_block
-        m[:2, 2:] = self.c_block
-        m[2:, :2] = self.c_block.conj().T
-        return m
+def _conditioned(case: AncillaCase, b: BranchParams, n: NoiseModel,
+                 model: AttackModel, bv: BobVariances, stored: PairCov) -> PairCov:
+    """The stored pair after Bob's homodyne: new x entries, stored p entries."""
+    v_a, v_e = n.v_a, n.v_e
+    v_b = bv.v_b_d if case is AncillaCase.DIRECT else bv.v_b_ris
+    if v_b <= 0.0:
+        raise NumericDomainError("conditioning variance is zero")
+    corr = stored.c[0]  # the EPR correlation of the stored hop
+    prod = b.beta_g * b.beta_f
+    if case is AncillaCase.DIRECT:
+        a0 = v_a * v_e / v_b
+        b0 = (1.0 - b.beta_d + b.beta_d * v_a * v_e) / v_b
+        c0: complex = v_a * corr / v_b
+    elif model is AttackModel.INDEPENDENT:
+        # every term is a non-negative product: no cancellation
+        if case is AncillaCase.ALICE_RIS:
+            a0 = ((1.0 - b.beta_g + prod) * v_a * v_e
+                  + b.beta_g * (1.0 - b.beta_f) * v_e ** 2) / v_b
+            b0 = (prod * v_a * v_e + (1.0 - b.beta_f) * v_e ** 2
+                  + b.beta_f * (1.0 - b.beta_g)) / v_b
+            c0 = corr * (b.beta_f * v_a + (1.0 - b.beta_f) * v_e) / v_b
+        else:
+            a0 = (b.beta_g * v_a * v_e + (1.0 - b.beta_g) * v_e ** 2) / v_b
+            b0 = (prod * v_a * v_e + b.beta_f * (1.0 - b.beta_g) * v_e ** 2
+                  + 1.0 - b.beta_f) / v_b
+            c0 = corr * (b.beta_g * v_a + (1.0 - b.beta_g) * v_e) / v_b
+    else:
+        b0 = (abs(b.gamma) ** 2 + prod * v_a * v_e) / v_b
+        if case is AncillaCase.ALICE_RIS:
+            x = _cross_coupling(b)
+            a0 = (1.0 - b.beta_g + prod + 2.0 * x * math.cos(b.phi)) * v_a * v_e / v_b
+            c0 = (b.beta_f + x * cmath.exp(-1j * b.phi)) * corr * v_a / v_b
+        else:
+            a0 = b.beta_g * v_a * v_e / v_b
+            c0 = b.beta_g * v_a * math.sqrt(b.beta_f * (v_e ** 2 - 1.0)) / v_b
+    return PairCov(a=(a0, stored.a[1]), b=(b0, stored.b[1]), c=(c0, stored.c[1]))
 
 
 def conditional_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
-                    model: AttackModel = AttackModel.PAPER) -> ConditionalCov:
-    """Closed-form conditional covariance blocks for each storage case.
+                    model: AttackModel = AttackModel.PAPER) -> PairCov:
+    """Closed-form stored-pair covariance conditioned on Bob's quadrature.
 
     Conditioning is on the direct-path quadrature for the direct case and on
     the reflected-path quadrature for the two RIS cases.  Under independent
@@ -278,61 +278,21 @@ def conditional_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
     (counter-rotating her kept EPR half); in these frames every block is real
     and the RIS phase drops out.
     """
-    v_a, v_e = n.v_a, n.v_e
-    t = v_e ** 2 - 1.0
-    cos_phi = math.cos(b.phi)
-    x = _cross_coupling(b)
-    bv = bob_variances(b, n, model)
-    if case is AncillaCase.DIRECT:
-        v_b = bv.v_b_d
-        if v_b <= 0.0:
-            raise NumericDomainError("conditioning variance is zero")
-        corr = math.sqrt(b.beta_d * t)
-        a0 = v_a * v_e / v_b
-        a1 = (1.0 - b.beta_d) * v_a + b.beta_d * v_e
-        b0 = (1.0 - b.beta_d + b.beta_d * v_a * v_e) / v_b
-        c0: complex = v_a * corr / v_b
-        c1: complex = -corr
-    else:
-        v_b = bv.v_b_ris
-        if v_b <= 0.0:
-            raise NumericDomainError("conditioning variance is zero")
-        prod = b.beta_g * b.beta_f
-        if model is AttackModel.INDEPENDENT:
-            # every term is a non-negative product: no cancellation
-            if case is AncillaCase.ALICE_RIS:
-                corr = math.sqrt(b.beta_g * t)
-                a0 = ((1.0 - b.beta_g + prod) * v_a * v_e
-                      + b.beta_g * (1.0 - b.beta_f) * v_e ** 2) / v_b
-                b0 = (prod * v_a * v_e + (1.0 - b.beta_f) * v_e ** 2
-                      + b.beta_f * (1.0 - b.beta_g)) / v_b
-                c0 = corr * (b.beta_f * v_a + (1.0 - b.beta_f) * v_e) / v_b
-            else:
-                corr = math.sqrt(b.beta_f * t)
-                a0 = (b.beta_g * v_a * v_e + (1.0 - b.beta_g) * v_e ** 2) / v_b
-                b0 = (prod * v_a * v_e + b.beta_f * (1.0 - b.beta_g) * v_e ** 2
-                      + 1.0 - b.beta_f) / v_b
-                c0 = corr * (b.beta_g * v_a + (1.0 - b.beta_g) * v_e) / v_b
-            a1 = eve_output_variance(case, b, n, model)
-            c1 = -corr
-        else:
-            b0 = (abs(b.gamma) ** 2 + prod * v_a * v_e) / v_b
-            if case is AncillaCase.ALICE_RIS:
-                corr = math.sqrt(b.beta_g * t)
-                a0 = (1.0 - b.beta_g + prod + 2.0 * x * cos_phi) * v_a * v_e / v_b
-                a1 = (1.0 - b.beta_g) * v_a + b.beta_g * v_e
-                c0 = (b.beta_f + x * cmath.exp(-1j * b.phi)) * corr * v_a / v_b
-                c1 = -corr
-            else:
-                a0 = b.beta_g * v_a * v_e / v_b
-                a1 = eve_output_variance(case, b, n)
-                c0 = b.beta_g * v_a * math.sqrt(b.beta_f * t) / v_b
-                c1 = -b.beta_f_tilde * math.sqrt(t)
-    nabla = a0 * a1 + b0 * v_e + 2.0 * (c0 * c1).real
-    d0 = _nonneg(a0 * b0 - abs(c0) ** 2, a0 * b0)
-    d1 = _nonneg(a1 * v_e - abs(c1) ** 2, a1 * v_e)
-    return ConditionalCov(a=(a0, a1), b=(b0, v_e), c=(c0, c1), nabla_tilde=nabla,
-                          det_value=d0 * d1, conditioning_variance=v_b)
+    return _conditioned(case, b, n, model, bob_variances(b, n, model),
+                        eve_cov(case, b, n, model))
+
+
+def _conditional_eigs(cov: PairCov) -> tuple[float, float]:
+    """Symplectic eigenvalues of a conditioned pair from its sector invariants."""
+    (a0, a1), (b0, b1), (c0, c1) = cov.a, cov.b, cov.c
+    nabla = a0 * a1 + b0 * b1 + 2.0 * (c0 * c1).real
+    det = (_nonneg(a0 * b0 - abs(c0) ** 2, a0 * b0)
+           * _nonneg(a1 * b1 - abs(c1) ** 2, a1 * b1))
+    disc = _nonneg(nabla * nabla - 4.0 * det, nabla * nabla)
+    lam3_sq = 0.5 * (nabla + math.sqrt(disc))
+    lam3 = math.sqrt(_nonneg(lam3_sq, abs(nabla)))
+    lam4 = math.sqrt(det) / lam3 if lam3 > 0.0 else 0.0
+    return lam3, lam4
 
 
 def symplectic_eigs_conditional(case: AncillaCase, b: BranchParams,
@@ -340,13 +300,7 @@ def symplectic_eigs_conditional(case: AncillaCase, b: BranchParams,
                                 model: AttackModel = AttackModel.PAPER,
                                 ) -> tuple[float, float]:
     """Symplectic eigenvalues of the conditional stored-pair covariance."""
-    cov = conditional_cov(case, b, n, model)
-    nabla, det = cov.nabla_tilde, cov.det_value
-    disc = _nonneg(nabla * nabla - 4.0 * det, nabla * nabla)
-    lam3_sq = 0.5 * (nabla + math.sqrt(disc))
-    lam3 = math.sqrt(_nonneg(lam3_sq, abs(nabla)))
-    lam4 = math.sqrt(det) / lam3 if lam3 > 0.0 else 0.0
-    return lam3, lam4
+    return _conditional_eigs(conditional_cov(case, b, n, model))
 
 
 _LN2 = math.log(2.0)
@@ -373,10 +327,7 @@ def holevo_h(lam: float) -> float:
     return u * math.log2(u) - w * math.log2(w)
 
 
-def mutual_info_ab(path: Path, b: BranchParams, n: NoiseModel,
-                   model: AttackModel = AttackModel.PAPER) -> float:
-    """Classical mutual information of one received path, in bits."""
-    bv = bob_variances(b, n, model)
+def _mutual_info(path: Path, bv: BobVariances) -> float:
     if path is Path.DIRECT:
         num, den = bv.v_b_d, bv.v_b_d_cond
     else:
@@ -386,12 +337,10 @@ def mutual_info_ab(path: Path, b: BranchParams, n: NoiseModel,
     return 0.5 * math.log2(num / den)
 
 
-def holevo_info(case: AncillaCase, b: BranchParams, n: NoiseModel,
-                model: AttackModel = AttackModel.PAPER) -> float:
-    """Holevo bound on the stored pair's information about Bob's outcome."""
-    lam1, lam2 = symplectic_eigs_unconditional(case, b, n, model)
-    lam3, lam4 = symplectic_eigs_conditional(case, b, n, model)
-    return holevo_h(lam1) + holevo_h(lam2) - holevo_h(lam3) - holevo_h(lam4)
+def mutual_info_ab(path: Path, b: BranchParams, n: NoiseModel,
+                   model: AttackModel = AttackModel.PAPER) -> float:
+    """Classical mutual information of one received path, in bits."""
+    return _mutual_info(path, bob_variances(b, n, model))
 
 
 @dataclass(frozen=True)
@@ -416,12 +365,15 @@ def branch_skr(case: AncillaCase, b: BranchParams, n: NoiseModel,
 
     The Holevo term belongs to the stored hop's path: the direct path for the
     direct case, the reflected path otherwise; the other path leaks nothing.
+    Bob's variances and the stored pair are built once and feed every term.
     Negative rates are valid outputs (insecure regime).
     """
-    i_d = mutual_info_ab(Path.DIRECT, b, n, model)
-    i_r = mutual_info_ab(Path.RIS, b, n, model)
-    lam1, lam2 = symplectic_eigs_unconditional(case, b, n, model)
-    lam3, lam4 = symplectic_eigs_conditional(case, b, n, model)
+    bv = bob_variances(b, n, model)
+    stored = eve_cov(case, b, n, model)
+    i_d = _mutual_info(Path.DIRECT, bv)
+    i_r = _mutual_info(Path.RIS, bv)
+    lam1, lam2 = _two_mode_eigs(stored)
+    lam3, lam4 = _conditional_eigs(_conditioned(case, b, n, model, bv, stored))
     holevo = (holevo_h(lam1) + holevo_h(lam2)
               - holevo_h(lam3) - holevo_h(lam4))
     negativity = sum(1 for lam in (lam1, lam2, lam3, lam4)

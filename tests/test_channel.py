@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ris_cvqkd.channel import (ArrayGeometry, PathSpec, RisGeometry,
-                               array_response, build_channels,
+from ris_cvqkd.channel import (ArrayGeometry, ChannelTriple, PathSpec,
+                               RisGeometry, array_response, build_channels,
                                line_of_sight_path, path_loss, ris_response)
 from ris_cvqkd.config import default_scenario
 
@@ -243,6 +243,16 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         RisGeometry(k_x=1, k_y=1, spacing_x=0.0, spacing_y=1e-5,
                     common_phase=0.0)
+
+
+def test_channel_triple_accepts_strided_views():
+    h = np.arange(6, dtype=complex).reshape(2, 3) * (1 + 1j)
+    t = ChannelTriple(h_d=h, h_g=h.T, h_f=h[:, ::2])
+    np.testing.assert_array_equal(t.h_g, h.T)
+    bad = h.copy()
+    bad[1, 2] = complex(0.0, math.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        ChannelTriple(h_d=h, h_g=bad.T, h_f=h)
 
 
 def test_ris_phase_folded():

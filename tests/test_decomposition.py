@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ris_cvqkd.channel import ChannelTriple, RisGeometry
-from ris_cvqkd.decomposition import (PhysicalityError, branch_params,
-                                     decompose, make_branch)
+from ris_cvqkd.decomposition import branch_params, decompose, make_branch
 
 
 def _ris(phase=0.0):
@@ -140,7 +139,7 @@ def test_branch_count_is_min_rank():
     assert len(branches) == 1
 
 
-def test_clamp_policy_counts_and_strict_raises():
+def test_branch_params_clamps_and_counts():
     big = 1.2 * np.eye(2, dtype=complex)
     t = ChannelTriple(h_d=big, h_g=np.eye(2, dtype=complex),
                       h_f=np.eye(2, dtype=complex))
@@ -148,8 +147,6 @@ def test_clamp_policy_counts_and_strict_raises():
     branches, clamped = branch_params(bundles, _ris())
     assert clamped == 2
     assert all(b.beta_d == 1.0 for b in branches)
-    with pytest.raises(PhysicalityError):
-        branch_params(bundles, _ris(), clamp_policy="strict")
 
 
 def test_make_branch_rejects_out_of_range():
@@ -157,5 +154,3 @@ def test_make_branch_rejects_out_of_range():
         make_branch(1.5, 0.5, 0.5, 0.0)
     with pytest.raises(ValueError):
         make_branch(0.5, -0.1, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        branch_params((None,), _ris(), clamp_policy="bogus")

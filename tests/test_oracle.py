@@ -16,7 +16,7 @@ from ris_cvqkd.oracle import (REGISTER_MODES, bona_fide_margin,
                               random_branch, run_verification,
                               symplectic_form)
 from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel, Path,
-                           TwoModeCov, conditional_cov, eve_cov,
+                           PairCov, conditional_cov, eve_cov,
                            symplectic_eigs_conditional,
                            symplectic_eigs_unconditional)
 
@@ -32,8 +32,8 @@ def test_identity_covariance():
 
 def test_two_mode_squeezed_vacuum_is_pure():
     r = 0.8
-    cov = TwoModeCov(v_out=math.cosh(2 * r), v_e=math.cosh(2 * r),
-                     v_corr=math.sinh(2 * r))
+    v, corr = math.cosh(2 * r), math.sinh(2 * r)
+    cov = PairCov(a=(v, v), b=(v, v), c=(corr, -corr))
     lam = numeric_symplectic_eigs(cov.as_matrix())
     assert lam == pytest.approx((1.0, 1.0), abs=1e-10)
 
@@ -192,8 +192,8 @@ def test_stacked_eigs_match_per_matrix_calls_bit_for_bit():
 
 def test_exact_sector_small_eig_matches_extended_precision():
     r = 4.0  # near-pure two-mode squeezed state: det K cancels to about 1
-    k = TwoModeCov(v_out=math.cosh(2 * r), v_e=math.cosh(2 * r),
-                   v_corr=math.sinh(2 * r)).as_matrix()
+    v, corr = math.cosh(2 * r), math.sinh(2 * r)
+    k = PairCov(a=(v, v), b=(v, v), c=(corr, -corr)).as_matrix()
     assert oracle._sectors_decouple(k[None])[0]
     lam1, _ = numeric_symplectic_eigs(k)
     exact = oracle._small_eig_from_sectors(k, lam1)
@@ -204,7 +204,7 @@ def test_exact_sector_small_eig_matches_extended_precision():
 def test_cross_quadrature_terms_take_extended_precision_fallback(monkeypatch):
     # a sub-vacuum pair (lam2 / lam1 ~ 2e-5); a local rotation of the first
     # mode keeps its symplectic spectrum but mixes x1 with p2
-    k = TwoModeCov(v_out=100.0, v_e=1.0, v_corr=9.99).as_matrix()
+    k = PairCov(a=(100.0, 100.0), b=(1.0, 1.0), c=(9.99, -9.99)).as_matrix()
     theta = 0.3
     rot = np.eye(4)
     rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],

@@ -6,8 +6,7 @@ import pytest
 from ris_cvqkd.decomposition import make_branch
 from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel,
                            NumericDomainError, Path, bob_variances, branch_skr, conditional_cov,
-                           eve_cov, eve_output_variance, holevo_h,
-                           holevo_info, mutual_info_ab,
+                           eve_cov, eve_output_variance, holevo_h, mutual_info_ab,
                            symplectic_eigs_conditional,
                            symplectic_eigs_unconditional, thermal_occupation,
                            total_skr)
@@ -137,20 +136,20 @@ def test_eve_output_variance_matches_tap_magnitude():
 def test_eve_cov_product_state_at_unit_probe():
     n = noise(v_e=1.0)
     cov = eve_cov(AncillaCase.DIRECT, make_branch(0.7, 0.5, 0.5, 0.3), n)
-    assert cov.v_corr == 0.0
+    assert cov.c[0] == 0.0
 
 
 def test_eve_cov_direct_reference():
     n = noise(v_e=3.0)
     cov = eve_cov(AncillaCase.DIRECT, make_branch(1.0, 0.5, 0.5, 0.3), n)
-    assert cov.v_corr == pytest.approx(math.sqrt(8.0), rel=1e-14)
+    assert cov.c[0] == pytest.approx(math.sqrt(8.0), rel=1e-14)
 
 
 def test_eve_cov_reflected_tap_reference():
     # frozen: beta_f_tilde * sqrt(3) for (0.49, 0.25, pi/4)
     n = noise(v_e=2.0)
     cov = eve_cov(AncillaCase.RIS_BOB, make_branch(0.36, 0.49, 0.25, math.pi / 4), n)
-    assert cov.v_corr == pytest.approx(
+    assert cov.c[0] == pytest.approx(
         0.1085625334072828 - 0.7574628703771558j, abs=1e-13)
 
 
@@ -159,7 +158,7 @@ def test_eve_cov_matrix_is_hermitian():
     cov = eve_cov(AncillaCase.RIS_BOB, make_branch(0.2, 0.6, 0.4, 1.1), n)
     m = cov.as_matrix()
     np.testing.assert_allclose(m, m.conj().T)
-    assert m[0, 0] == pytest.approx(cov.v_out)
+    assert m[0, 0] == pytest.approx(cov.a[0])
 
 
 # --- entropy function ---------------------------------------------------------
@@ -228,21 +227,32 @@ def test_conditional_cov_transparent_direct_reduces_to_unconditional():
     n = noise(v_e=2.5)
     b = make_branch(1.0, 0.5, 0.5, 0.0)
     cov = conditional_cov(AncillaCase.DIRECT, b, n)
-    np.testing.assert_allclose(np.diagonal(cov.a_block),
-                               [n.v_e, n.v_e], rtol=1e-14)
-    np.testing.assert_allclose(np.diagonal(cov.b_block),
-                               [n.v_e, n.v_e], rtol=1e-14)
+    np.testing.assert_allclose(cov.a, [n.v_e, n.v_e], rtol=1e-14)
+    np.testing.assert_allclose(cov.b, [n.v_e, n.v_e], rtol=1e-14)
     corr = math.sqrt(n.v_e ** 2 - 1.0)
-    np.testing.assert_allclose(np.diagonal(cov.c_block),
-                               [corr, -corr], rtol=1e-14)
+    np.testing.assert_allclose(cov.c, [corr, -corr], rtol=1e-14)
 
 
 def test_conditional_cov_unit_probe_has_no_epr_coupling():
     n = noise(v_e=1.0)
     cov = conditional_cov(AncillaCase.DIRECT, make_branch(0.4, 0.5, 0.5, 0.0), n)
-    assert cov.c_block[1, 1] == 0.0
+    assert cov.c[1] == 0.0
     m = cov.as_matrix()
     np.testing.assert_allclose(m, m.conj().T)
+
+
+def test_conditioning_keeps_the_p_entries():
+    # Bob's x-quadrature homodyne rewrites only the x sector of the stored pair
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        b = make_branch(*rng.uniform(0, 1, size=3), rng.uniform(0, 2 * math.pi))
+        n = noise(v_s=rng.uniform(1, 2000), v_e=1.0 + rng.uniform(0, 19))
+        for model in AttackModel:
+            for case in AncillaCase:
+                stored = eve_cov(case, b, n, model)
+                cond = conditional_cov(case, b, n, model)
+                assert (cond.a[1], cond.b[1], cond.c[1]) \
+                    == (stored.a[1], stored.b[1], stored.c[1])
 
 
 def test_conditional_eigs_direct_two_code_paths():
@@ -297,13 +307,13 @@ def test_conditional_rejects_zero_conditioning_variance():
 def test_holevo_info_zero_leakage_direct():
     n = noise(v_e=5.0)
     b = make_branch(1.0, 0.3, 0.8, 0.7)
-    assert abs(holevo_info(AncillaCase.DIRECT, b, n)) < 1e-12
+    assert abs(branch_skr(AncillaCase.DIRECT, b, n).holevo) < 1e-12
 
 
 def test_holevo_info_zero_leakage_alice_ris():
     n = noise(v_e=5.0)
     b = make_branch(0.5, 1.0, 0.8, 0.7)
-    assert abs(holevo_info(AncillaCase.ALICE_RIS, b, n)) < 1e-12
+    assert abs(branch_skr(AncillaCase.ALICE_RIS, b, n).holevo) < 1e-12
 
 
 def test_holevo_info_nonnegative_on_grid():
@@ -312,7 +322,7 @@ def test_holevo_info_nonnegative_on_grid():
         b = make_branch(*rng.uniform(0, 1, size=3), rng.uniform(0, 2 * math.pi))
         n = noise(v_s=rng.uniform(1, 2000), v_e=1.0 + rng.uniform(0, 19))
         for case in AncillaCase:
-            assert holevo_info(case, b, n) >= -1e-9
+            assert branch_skr(case, b, n).holevo >= -1e-9
 
 
 # --- branch and total key rate ---------------------------------------------------
@@ -325,7 +335,7 @@ def _skr_single_expression(case, b, n):
         * (b.beta_g * b.beta_f * n.v_a + bracket * n.v_e)
     den = (b.beta_d * n.v_o + (1 - b.beta_d) * n.v_e) \
         * (b.beta_g * b.beta_f * n.v_o + bracket * n.v_e)
-    return 0.5 * math.log2(num / den) - holevo_info(case, b, n)
+    return 0.5 * math.log2(num / den) - branch_skr(case, b, n).holevo
 
 
 def test_branch_skr_transparent_link():
@@ -409,7 +419,7 @@ def test_independent_model_rates():
         assert rec.skr == pytest.approx(
             mutual_info_ab(Path.DIRECT, b, n, model)
             + mutual_info_ab(Path.RIS, b, n, model)
-            - holevo_info(case, b, n, model), rel=1e-14)
+            - rec.holevo, rel=1e-14)
         assert total_skr(case, [b, b], n, model=model).total_skr == 2.0 * rec.skr
     assert branch_skr(AncillaCase.DIRECT, b, n, model).holevo == \
         branch_skr(AncillaCase.DIRECT, b, n).holevo
