@@ -117,8 +117,8 @@ class Scenario:
     multipaths_f: tuple[PathSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.carrier_frequency > 0:
-            raise ValueError("carrier_frequency must be > 0")
+        if not 0 < self.carrier_frequency < math.inf:
+            raise ValueError("carrier_frequency must be finite and > 0")
         if not self.modulation_variance > 0:
             raise ValueError("modulation_variance must be > 0")
         if self.eve_variance < 1.0:
@@ -150,44 +150,46 @@ class ChannelTriple:
             object.__setattr__(self, name, m)
 
 
-def array_response(n: int, theta: float, spacing: float, wavelength: float) -> np.ndarray:
-    """Unit-norm ULA response vector.
+def array_response(n: int, theta, spacing: float, wavelength: float) -> np.ndarray:
+    """Unit-norm ULA response vectors, one row per angle.
 
     Entry p (0-based) is exp(j * 2*pi * spacing * p * sin(theta) / wavelength)
-    scaled by 1/sqrt(n).
+    scaled by 1/sqrt(n).  A scalar ``theta`` gives the (n,) vector; a
+    sequence of L angles gives an (L, n) array.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not wavelength > 0:
         raise ValueError("wavelength must be > 0")
-    if not (math.isfinite(theta) and math.isfinite(spacing)):
+    if not (np.isfinite(theta).all() and math.isfinite(spacing)):
         raise ValueError("theta and spacing must be finite")
-    phase_step = 2.0 * math.pi * spacing * math.sin(theta) / wavelength
-    phases = phase_step * np.arange(n)
+    phase_step = 2.0 * math.pi * spacing * np.sin(theta) / wavelength
+    phases = np.multiply.outer(phase_step, np.arange(n))
     return np.exp(1j * phases) / math.sqrt(n)
 
 
-def ris_response(ris: RisGeometry, elevation: float, theta: float,
+def ris_response(ris: RisGeometry, elevation, theta,
                  wavelength: float) -> np.ndarray:
-    """Unit-norm response vector of the RIS grid, flattened row-major.
+    """Unit-norm response vectors of the RIS grid, flattened row-major.
 
     The element at grid index (p, q) carries phase
     (2*pi/wavelength) * (p * v_x + q * v_y) with
     v_x = spacing_x * cos(elevation) * sin(theta) and
     v_y = spacing_y * sin(elevation) * sin(theta); indices start at (0, 0).
+    Scalar angles give the (K,) vector, sequences of L angles an (L, K) array.
     """
     if not wavelength > 0:
         raise ValueError("wavelength must be > 0")
-    if not (math.isfinite(theta) and math.isfinite(elevation)):
+    if not (np.isfinite(theta).all() and np.isfinite(elevation).all()):
         raise ValueError("angles must be finite")
-    v_x = ris.spacing_x * math.cos(elevation) * math.sin(theta)
-    v_y = ris.spacing_y * math.sin(elevation) * math.sin(theta)
+    v_x = (ris.spacing_x * np.cos(elevation) * np.sin(theta))[..., None, None]
+    v_y = (ris.spacing_y * np.sin(elevation) * np.sin(theta))[..., None, None]
     scale = 2.0 * math.pi / wavelength
     p = np.arange(ris.k_x)[:, None]
     q = np.arange(ris.k_y)[None, :]
     phases = scale * (p * v_x + q * v_y)
     k = ris.element_count
-    return (np.exp(1j * phases) / math.sqrt(k)).reshape(k)
+    return (np.exp(1j * phases) / math.sqrt(k)).reshape(phases.shape[:-2] + (k,))
 
 
 def path_loss(path: PathSpec, scenario: Scenario,
@@ -212,54 +214,37 @@ def path_loss(path: PathSpec, scenario: Scenario,
     return delta
 
 
-def _channel_gains(scenario: Scenario, channel: str) -> tuple[float, float]:
-    """Endpoint gain pair for one channel; the RIS side contributes its
-    element count as gain."""
-    g_tx_array = scenario.tx.element_count * scenario.tx.gain_linear
-    g_rx_array = scenario.rx.element_count * scenario.rx.gain_linear
-    k = scenario.ris.element_count
-    if channel == "d":
-        return g_tx_array, g_rx_array
-    if channel == "g":
-        return g_tx_array, float(k)
-    if channel == "f":
-        return float(k), g_rx_array
-    raise ValueError(f"unknown channel tag {channel!r}")
-
-
 def build_channels(scenario: Scenario) -> ChannelTriple:
     """Assemble the three channel matrices as sums over their paths.
 
     Each path contributes sqrt(path loss) * exp(j*2*pi*f_c*delay) times the
     outer product of the arrival-side and departure-side response vectors.
+    The responses of all paths are built at once, the per-path terms added
+    in path order.  The RIS side's endpoint gain is its element count.
     """
     for name in ("multipaths_d", "multipaths_g", "multipaths_f"):
         if not getattr(scenario, name):
             raise ValueError(f"{name} must contain at least one path")
     lam = scenario.wavelength
     f_c = scenario.carrier_frequency
-    n_tx, n_rx = scenario.tx.element_count, scenario.rx.element_count
-    k = scenario.ris.element_count
-
-    def accumulate(paths, channel, out_shape, rx_vec, tx_vec):
-        gains = _channel_gains(scenario, channel)
-        h = np.zeros(out_shape, dtype=complex)
-        for p in paths:
+    tx, rx, ris = scenario.tx, scenario.rx, scenario.ris
+    n_tx, n_rx = tx.element_count, rx.element_count
+    g_tx, g_rx, k = n_tx * tx.gain_linear, n_rx * rx.gain_linear, float(ris.element_count)
+    d, g, f = scenario.multipaths_d, scenario.multipaths_g, scenario.multipaths_f
+    table = (
+        (d, (g_tx, g_rx), array_response(n_rx, [p.aoa for p in d], rx.element_spacing, lam),
+         array_response(n_tx, [p.aod for p in d], tx.element_spacing, lam)),
+        (g, (g_tx, k), ris_response(ris, [p.elevation for p in g], [p.aoa for p in g], lam),
+         array_response(n_tx, [p.aod for p in g], tx.element_spacing, lam)),
+        (f, (k, g_rx), array_response(n_rx, [p.aoa for p in f], rx.element_spacing, lam),
+         ris_response(ris, [p.elevation for p in f], [p.aod for p in f], lam)),
+    )
+    channels = []
+    for paths, gains, arrival, departure in table:
+        m = np.zeros((arrival.shape[1], departure.shape[1]), dtype=complex)
+        for p, a_l, b_l in zip(paths, arrival, departure):
             amp = math.sqrt(path_loss(p, scenario, gains))
             phase = np.exp(1j * 2.0 * math.pi * f_c * p.delay)
-            h += amp * phase * np.outer(rx_vec(p), tx_vec(p).conj())
-        return h
-
-    h_d = accumulate(
-        scenario.multipaths_d, "d", (n_rx, n_tx),
-        lambda p: array_response(n_rx, p.aoa, scenario.rx.element_spacing, lam),
-        lambda p: array_response(n_tx, p.aod, scenario.tx.element_spacing, lam))
-    h_g = accumulate(
-        scenario.multipaths_g, "g", (k, n_tx),
-        lambda p: ris_response(scenario.ris, p.elevation, p.aoa, lam),
-        lambda p: array_response(n_tx, p.aod, scenario.tx.element_spacing, lam))
-    h_f = accumulate(
-        scenario.multipaths_f, "f", (n_rx, k),
-        lambda p: array_response(n_rx, p.aoa, scenario.rx.element_spacing, lam),
-        lambda p: ris_response(scenario.ris, p.elevation, p.aod, lam))
-    return ChannelTriple(h_d=h_d, h_g=h_g, h_f=h_f)
+            m += amp * phase * np.outer(a_l, b_l.conj())
+        channels.append(m)
+    return ChannelTriple(*channels)

@@ -161,6 +161,14 @@ def _extra_paths(count: int, base_length: float, spread: float, excess: float,
 def make_scenario(params: dict) -> Scenario:
     """Build the scenario value from resolved parameters."""
     p = resolve_params(params)
+    # checked here so the message names the key, not a derived value
+    if not 0 < p["carrier_frequency_hz"] < math.inf:
+        raise ConfigError("carrier_frequency_hz must be finite and > 0")
+    if not 0 <= p["roughness"] < math.inf:
+        raise ConfigError("roughness must be finite and >= 0")
+    for key in ("extra_paths_d", "extra_paths_g", "extra_paths_f"):
+        if p[key] < 0:
+            raise ConfigError(f"{key} must be >= 0")
     wavelength = 299_792_458.0 / p["carrier_frequency_hz"]
     tx = ArrayGeometry(element_count=p["tx_antennas"],
                        element_spacing=p["antenna_spacing_wavelengths"] * wavelength,

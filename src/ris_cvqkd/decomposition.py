@@ -24,8 +24,7 @@ RANK_CUTOFF = 1e-12  # relative to the largest singular value
 class SvdBundle:
     """Singular-value record of one channel matrix."""
 
-    betas: np.ndarray  # squared singular values of the ``rank`` ranked branches
-    rank: int
+    betas: np.ndarray  # squared singular values above the cutoff; rank = len(betas)
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,6 @@ def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
                         branch_index=index)
 
 
-def _effective_rank(singular_values: np.ndarray) -> int:
-    if singular_values.size == 0 or singular_values[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(singular_values > RANK_CUTOFF * singular_values[0]))
-
-
 def _decompose_one(h: np.ndarray) -> SvdBundle:
     # the reduced SVD, not compute_uv=False: the values-only LAPACK driver
     # moves singular values by a few ulp of the largest one
@@ -76,8 +69,8 @@ def _decompose_one(h: np.ndarray) -> SvdBundle:
         _, sv, _ = np.linalg.svd(np.asarray(h, dtype=complex), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
-    rank = _effective_rank(sv)
-    return SvdBundle(betas=np.square(sv[:rank]), rank=rank)
+    kept = sv > RANK_CUTOFF * sv.max(initial=0.0)  # a prefix: sv is sorted descending
+    return SvdBundle(betas=np.square(sv[kept]))
 
 
 def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
@@ -89,24 +82,16 @@ def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],
                   ris: RisGeometry) -> tuple[list[BranchParams], int]:
     """Pair the branches of the three channels and derive per-branch coefficients.
 
-    The branch count is the smallest effective rank among the three channels.
+    The branch count is the smallest rank, ``len(betas)``, among the three channels.
     Transmissivities above 1 (possible at short range with large array gains)
     are clamped to 1, and the number of values clamped by more than 1e-12 is
     returned.
 
     Returns (branches, clamp_count).
     """
-    r = min(b.rank for b in bundles)
-    clamped = 0
-    branches: list[BranchParams] = []
-    for i in range(r):
-        fixed = []
-        for value in (b.betas[i] for b in bundles):
-            if value > 1.0:
-                if value > 1.0 + 1e-12:
-                    clamped += 1
-                value = 1.0
-            fixed.append(value)
-        branches.append(make_branch(fixed[0], fixed[1], fixed[2],
-                                    ris.common_phase, index=i + 1))
+    r = min(len(b.betas) for b in bundles)
+    betas = np.stack([b.betas[:r] for b in bundles], axis=1)  # (r, 3): d, g, f
+    clamped = int(np.count_nonzero(betas > 1.0 + 1e-12))
+    branches = [make_branch(beta_d, beta_g, beta_f, ris.common_phase, index=i + 1)
+                for i, (beta_d, beta_g, beta_f) in enumerate(np.minimum(betas, 1.0))]
     return branches, clamped

@@ -152,8 +152,8 @@ def scenario_with_antennas(base: Scenario, n: int) -> Scenario:
 def scenario_with_frequency(base: Scenario, f_c: float) -> Scenario:
     """Change the carrier, preserving all spacings as fractions of the
     wavelength (half-wavelength arrays stay half-wavelength)."""
-    if not f_c > 0:
-        raise ValueError("carrier frequency must be > 0")
+    if not 0 < f_c < math.inf:
+        raise ValueError("carrier frequency must be finite and > 0")
     scale = base.carrier_frequency / f_c  # new wavelength / old wavelength
     return dataclasses.replace(
         base,

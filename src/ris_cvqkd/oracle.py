@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import BranchParams, make_branch
-from .qkd import (AncillaCase, NoiseModel, NumericDomainError, Path,
-                  _conditional_eigs, conditional_cov,
-                  symplectic_eigs_unconditional)
+from .qkd import (AncillaCase, AttackModel, NoiseModel, NumericDomainError, Path,
+                  _conditional_eigs, _conditioned, _two_mode_eigs, bob_variances,
+                  eve_cov)
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
 REGISTER_MODES = 7  # A, E_d, E'_d, E_g, E'_g, E_f, E'_f
@@ -292,10 +292,12 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
         m = min(size, draws - start)
         for i in range(m):
             b, n = random_branch(rng)
+            bv = bob_variances(b, n)
             for c, case in enumerate(cases):
                 entries[i, c] = _joint_entries(case, b, n)
-                cov = conditional_cov(case, b, n)
-                lams = symplectic_eigs_unconditional(case, b, n) + _conditional_eigs(cov)
+                stored = eve_cov(case, b, n)
+                cov = _conditioned(case, b, n, AttackModel.PAPER, bv, stored)
+                lams = _two_mode_eigs(stored) + _conditional_eigs(cov)
                 closed[i, c] = lams if perturb is None else perturb(case.value, lams)
                 blocks[i, c] = cov.as_matrix()
         joint = _joint_stack(entries[:m])

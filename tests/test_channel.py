@@ -103,6 +103,31 @@ def test_ris_response_unit_norm():
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_responses_of_angle_arrays_are_the_scalar_rows():
+    # one row per angle, bit for bit equal to the scalar call
+    rng = np.random.default_rng(11)
+    thetas = rng.uniform(-math.pi, math.pi, size=7)
+    elevations = rng.uniform(-1.5, 1.5, size=7)
+    ris = _ris(3, 4)
+    rows = array_response(5, thetas, 0.7 * WAVELENGTH, WAVELENGTH)
+    grid = ris_response(ris, elevations, thetas, WAVELENGTH)
+    assert rows.shape == (7, 5) and grid.shape == (7, 12)
+    for i, (theta, elev) in enumerate(zip(thetas.tolist(), elevations.tolist())):
+        assert rows[i].tolist() == array_response(
+            5, theta, 0.7 * WAVELENGTH, WAVELENGTH).tolist()
+        assert grid[i].tolist() == ris_response(ris, elev, theta, WAVELENGTH).tolist()
+
+
+def test_responses_reject_one_nonfinite_angle():
+    angles = np.array([0.1, -0.4, math.inf, 0.3])
+    with pytest.raises(ValueError, match="finite"):
+        array_response(4, angles, 1e-5, WAVELENGTH)
+    with pytest.raises(ValueError, match="finite"):
+        ris_response(_ris(2, 2), np.zeros(4), angles, WAVELENGTH)
+    with pytest.raises(ValueError, match="finite"):
+        ris_response(_ris(2, 2), angles, np.zeros(4), WAVELENGTH)
+
+
 def _scenario(**overrides):
     return default_scenario(**overrides)
 

@@ -1,5 +1,9 @@
+import dataclasses
+import math
 import os
 from pathlib import Path
+
+import pytest
 
 from ris_cvqkd import cli
 from ris_cvqkd.cli import emit_csv, main
@@ -105,6 +109,23 @@ def test_usage_error_exit_code(capsys):
     assert main(["sweep", "--variable", "nope", "--grid", "1:2:2"]) == 1
     assert main(["skr", "--cases", "z"]) == 1
     assert main(["skr", "--set", "unknown_key=3"]) == 1
+
+
+def test_infinite_carrier_rejected_by_name(capsys):
+    assert main(["skr", "--set", "f_c=inf"]) == 1
+    assert "carrier_frequency_hz must be finite" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="carrier_frequency must be finite"):
+        dataclasses.replace(default_scenario(), carrier_frequency=math.inf)
+
+
+def test_negative_path_count_rejected_by_name(capsys):
+    assert main(["skr", "--set", "extra_paths_d=-1"]) == 1
+    assert "extra_paths_d must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_roughness_rejected_by_name(capsys):
+    assert main(["skr", "--set", "roughness=-1"]) == 1
+    assert "roughness must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_io_error_exit_code(capsys):

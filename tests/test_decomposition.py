@@ -25,7 +25,7 @@ def test_identity_channel_betas():
     t = ChannelTriple(h_d=eye, h_g=eye, h_f=eye)
     bundles = decompose(t)
     for bundle in bundles:
-        assert bundle.rank == 2
+        assert len(bundle.betas) == 2
         np.testing.assert_allclose(bundle.betas, [1.0, 1.0], atol=1e-14)
 
 
@@ -34,7 +34,7 @@ def test_rank_one_channel():
     v = np.array([[0.5, -1.0]], dtype=complex)
     t = ChannelTriple(h_d=u @ v, h_g=u @ v, h_f=u @ v)
     bundle = decompose(t)[0]
-    assert bundle.rank == 1
+    assert len(bundle.betas) == 1
     assert bundle.betas[0] == pytest.approx((np.linalg.norm(u) * np.linalg.norm(v)) ** 2)
 
 
@@ -46,7 +46,7 @@ def test_betas_are_the_ranked_full_svd_values():
         rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6)))
     bundle = decompose(ChannelTriple(h_d=h, h_g=h, h_f=h))[0]
     sv = np.linalg.svd(h, full_matrices=True, compute_uv=True)[1]
-    assert bundle.rank == 2
+    assert len(bundle.betas) == 2
     assert bundle.betas.tolist() == np.square(sv[:2]).tolist()
 
 
@@ -141,12 +141,14 @@ def test_branch_count_is_min_rank():
 
 def test_branch_params_clamps_and_counts():
     big = 1.2 * np.eye(2, dtype=complex)
-    t = ChannelTriple(h_d=big, h_g=np.eye(2, dtype=complex),
-                      h_f=np.eye(2, dtype=complex))
+    # beta_g in (1, 1 + 1e-12]: clamped to 1 but not counted
+    near = math.sqrt(1.0 + 5e-13) * np.eye(2, dtype=complex)
+    t = ChannelTriple(h_d=big, h_g=near, h_f=np.eye(2, dtype=complex))
     bundles = decompose(t)
+    assert all(1.0 < beta <= 1.0 + 1e-12 for beta in bundles[1].betas)
     branches, clamped = branch_params(bundles, _ris())
     assert clamped == 2
-    assert all(b.beta_d == 1.0 for b in branches)
+    assert all(b.beta_d == 1.0 and b.beta_g == 1.0 for b in branches)
 
 
 def test_make_branch_rejects_out_of_range():
