@@ -4,8 +4,8 @@ from .channel import (ArrayGeometry, ChannelTriple, PathSpec, RisGeometry,
                       Scenario, array_response, build_channels,
                       line_of_sight_path, path_loss, ris_response)
 from .config import default_scenario, load_scenario
-from .decomposition import (BranchParams, SvdBundle, branch_params, decompose,
-                            make_branch)
+from .decomposition import (BranchParams, BranchSet, SvdBundle, branch_params,
+                            branch_set, decompose, make_branch)
 from .experiments import (PhaseOptimum, SweepResult, SweepSpec, SweepVariable,
                           evaluate_scenario, max_secure_distance,
                           no_ris_baseline, optimal_phase, run_sweep)

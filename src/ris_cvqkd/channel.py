@@ -26,8 +26,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.element_count < 1:
             raise ValueError("element_count must be >= 1")
-        if not self.element_spacing > 0:
-            raise ValueError("element_spacing must be > 0")
+        if not 0 < self.element_spacing < math.inf:
+            raise ValueError("element_spacing must be finite and > 0")
 
     @property
     def gain_linear(self) -> float:
@@ -47,8 +47,8 @@ class RisGeometry:
     def __post_init__(self):
         if self.k_x < 1 or self.k_y < 1:
             raise ValueError("RIS grid dimensions must be >= 1")
-        if not (self.spacing_x > 0 and self.spacing_y > 0):
-            raise ValueError("RIS element spacings must be > 0")
+        if not (0 < self.spacing_x < math.inf and 0 < self.spacing_y < math.inf):
+            raise ValueError("RIS element spacings must be finite and > 0")
         if not math.isfinite(self.common_phase):
             raise ValueError("common_phase must be finite")
         object.__setattr__(self, "common_phase", self.common_phase % (2.0 * math.pi))
@@ -78,8 +78,8 @@ class PathSpec:
     is_los: bool = False
 
     def __post_init__(self):
-        if not self.path_length > 0:
-            raise ValueError("path_length must be > 0")
+        if not 0 < self.path_length < math.inf:
+            raise ValueError("path_length must be finite and > 0")
         if not 0.0 <= self.fresnel_coeff <= 1.0:
             raise ValueError("fresnel_coeff must lie in [0, 1]")
         for name in ("aod", "aoa", "elevation"):

@@ -162,10 +162,14 @@ def make_scenario(params: dict) -> Scenario:
     """Build the scenario value from resolved parameters."""
     p = resolve_params(params)
     # checked here so the message names the key, not a derived value
-    if not 0 < p["carrier_frequency_hz"] < math.inf:
-        raise ConfigError("carrier_frequency_hz must be finite and > 0")
-    if not 0 <= p["roughness"] < math.inf:
-        raise ConfigError("roughness must be finite and >= 0")
+    for key in ("carrier_frequency_hz", "antenna_spacing_wavelengths",
+                "ris_spacing_x_wavelengths", "ris_spacing_y_wavelengths",
+                "extra_path_excess_length"):
+        if not 0 < p[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0")
+    for key in ("roughness", "absorption_db_per_km"):
+        if not 0 <= p[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0")
     for key in ("extra_paths_d", "extra_paths_g", "extra_paths_f"):
         if p[key] < 0:
             raise ConfigError(f"{key} must be >= 0")

@@ -16,10 +16,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import PathSpec, Scenario, build_channels
 from .config import GEOMETRY_RATIOS
-from .decomposition import branch_params, decompose, make_branch
-from .qkd import AncillaCase, NoiseModel, SkrReport, total_skr
+from .decomposition import BranchSet, branch_params, branch_set, decompose
+from .qkd import AncillaCase, NoiseModel, SkrReport, ordered_totals, total_skr
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -76,21 +78,26 @@ def _evaluator(scenario: Scenario):
     Returns ``reports(cases, phi=None, ris_tap_closed=False)``, the per-case
     key-rate reports.  ``phi`` replaces the common phase and
     ``ris_tap_closed`` sets beta_f = 0 (the no-RIS equivalent), either by
-    rebuilding every branch.  The channels do not depend on the phase, so one
-    evaluator serves a whole phase search.
+    rebuilding the branch set.  ``phi`` may be an array of P phases: the
+    branches are then repeated once per phase, phase by phase, and rated in
+    one pass.  The channels do not depend on the phase, so one evaluator
+    serves a whole phase search.
     """
     bundles = decompose(build_channels(scenario))
     branches, clamped = branch_params(bundles, scenario.ris)
     noise = noise_model(scenario)
 
-    def reports(cases, phi: float | None = None,
+    def reports(cases, phi=None,
                 ris_tap_closed: bool = False) -> dict[AncillaCase, SkrReport]:
         evaluated = branches
         if phi is not None or ris_tap_closed:
-            evaluated = [make_branch(b.beta_d, b.beta_g,
-                                     0.0 if ris_tap_closed else b.beta_f,
-                                     b.phi if phi is None else phi, b.branch_index)
-                         for b in branches]
+            repeats = np.size(phi) if phi is not None else 1
+            betas = np.tile(branches.betas, (repeats, 1))
+            if ris_tap_closed:
+                betas[:, 2] = 0.0
+            evaluated = branch_set(
+                betas, branches.phi if phi is None else np.repeat(phi, len(branches)),
+                np.tile(branches.index, repeats))
         return {case: total_skr(case, evaluated, noise, beta_clamp_count=clamped)
                 for case in cases}
 
@@ -215,9 +222,10 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """Common phase maximizing the key rate, searched over [0, pi].
 
     The rate is even and 2*pi-periodic in the phase, so [0, pi] suffices.
-    A grid scan at the requested resolution brackets the maximizer; a
-    golden-section refinement follows.  The channel matrices do not depend
-    on the common phase, so the decomposition is reused across evaluations.
+    A grid scan at the requested resolution, rated in one pass, brackets
+    the maximizer; a golden-section refinement follows.  The channel
+    matrices do not depend on the common phase, so the decomposition is
+    reused across evaluations.
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
@@ -228,7 +236,8 @@ def optimal_phase(base: Scenario, case: AncillaCase,
 
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
-    values = [rate(phi) for phi in grid]
+    rated = reports((case,), np.array(grid))[case].rates.skr
+    values = ordered_totals(rated, [len(rated) // points] * points)
     # rightmost maximizer: the rate can plateau exactly (clamped Holevo), and
     # the plateau edge next to the falling branch is the meaningful optimum
     best = max(range(points), key=lambda i: (values[i], i))
@@ -263,20 +272,28 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
                         grid_points: int = 64, skr_fn=None) -> float:
     """Largest distance with a positive key rate, by scan plus bisection.
 
-    The leg-ratio geometry is applied at every probe.  If the rate is still
+    The leg-ratio geometry is applied at every probe; the scan points are
+    rated in one pass, the bisection steps one at a time.  If the rate is still
     positive at ``d_max`` the upper bound is returned; if it is nowhere
     positive, 0 is returned.  When the rate is non-monotone the last
     positive-to-nonpositive grid crossing is refined.  ``skr_fn(d)`` replaces
     the pipeline when given (test hook).
     """
-    if skr_fn is None:
-        def skr_fn(d: float) -> float:
-            scenario = scenario_at_distance(base, d)
-            return evaluate_scenario(scenario, (case,))[case].total_skr
+    noise = noise_model(base)  # the same at every distance
+
+    def rates(distances) -> list[float]:
+        sets = [branch_params(decompose(build_channels(scenario_at_distance(base, d))),
+                              base.ris)[0] for d in distances]
+        return ordered_totals(total_skr(case, BranchSet.join(sets), noise).rates.skr,
+                              map(len, sets))
 
     grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
             for i in range(grid_points)]
-    values = [skr_fn(d) for d in grid]
+    if skr_fn is None:
+        values = rates(grid)
+        skr_fn = lambda d: rates([d])[0]
+    else:
+        values = [skr_fn(d) for d in grid]
     if all(v <= 0.0 for v in values):
         return 0.0
     if values[-1] > 0.0:

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import BranchParams, make_branch
-from .qkd import (AncillaCase, AttackModel, NoiseModel, NumericDomainError, Path,
-                  _conditional_eigs, _conditioned, _two_mode_eigs, bob_variances,
-                  eve_cov)
+from .decomposition import BranchParams, BranchSet, _complex, branch_set
+from .qkd import AncillaCase, NoiseModel, NumericDomainError, Path, _abs, _sq, total_skr
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
 REGISTER_MODES = 7  # A, E_d, E'_d, E_g, E'_g, E_f, E'_f
@@ -43,45 +41,48 @@ _J_OMEGA4 = 1j * symplectic_form(2)
 _MEASURE_X = np.diag([1.0, 0.0]).astype(complex)
 
 
-def _mode_coefficients(case: AncillaCase, b: BranchParams
-                       ) -> tuple[complex, complex, complex, complex]:
+def _mode_coefficients(case: AncillaCase, b: BranchSet) -> tuple:
     """(signal, probe) coefficients of Bob's conditioning mode and of the
-    stored output mode."""
+    stored output mode, as complex arrays over branches."""
     if case is AncillaCase.DIRECT:
-        c_ba: complex = math.sqrt(b.beta_d)
-        c_be: complex = math.sqrt(1.0 - b.beta_d)
-        c_oa: complex = -math.sqrt(1.0 - b.beta_d)
-        c_oe: complex = math.sqrt(b.beta_d)
-    else:
-        c_ba, c_be = b.alpha, b.gamma
-        if case is AncillaCase.ALICE_RIS:
-            c_oa = -math.sqrt(1.0 - b.beta_g)
-            c_oe = math.sqrt(b.beta_g)
-        else:
-            c_oa = -math.sqrt((1.0 - b.beta_f) * b.beta_g) * np.exp(1j * b.phi)
-            c_oe = b.beta_f_tilde
-    return c_ba, c_be, c_oa, c_oe
+        t, r = np.sqrt(b.beta_d) + 0j, np.sqrt(1.0 - b.beta_d) + 0j
+        return t, r, -r, t
+    if case is AncillaCase.ALICE_RIS:
+        return b.alpha, b.gamma, -np.sqrt(1.0 - b.beta_g) + 0j, np.sqrt(b.beta_g) + 0j
+    c_oa = _cmul(-np.sqrt((1.0 - b.beta_f) * b.beta_g) + 0j,
+                 _complex(np.cos(b.phi), np.sin(b.phi)))  # times exp(1j phi)
+    return b.alpha, b.gamma, c_oa, b.beta_f_tilde
+
+
+def _cmul(x, y) -> np.ndarray:
+    """x * y, each part rounded as Python rounds a complex product (numpy's
+    complex multiply may fuse them); a real y is promoted to complex."""
+    xr, xi, yr, yi = np.real(x), np.imag(x), np.real(y), np.imag(y)
+    return _complex(xr * yr - xi * yi, xr * yi + xi * yr)
 
 
 def joint_cov(case: AncillaCase, b: BranchParams, n: NoiseModel) -> np.ndarray:
     """6x6 Hermitian covariance over (conditioning mode, output, EPR half)."""
-    return _joint_stack(np.array(_joint_entries(case, b, n)))
+    return _joint_stack(_joint_entries(case, BranchSet.of([b]), n))[0]
 
 
-def _joint_entries(case: AncillaCase, b: BranchParams, n: NoiseModel) -> tuple:
-    """The six distinct entries of the joint covariance, from the raw mode
-    coefficients: the three mode variances, the signal-borne cross term of
-    Bob's mode and the output, and the EPR cross terms of the kept half with
-    Bob's mode and with the output."""
+def _joint_entries(case: AncillaCase, b: BranchSet, n: NoiseModel) -> np.ndarray:
+    """The six distinct entries of the joint covariance, an (r, 6) array,
+    from the raw mode coefficients: the three mode variances, the
+    signal-borne cross term of Bob's mode and the output, and the EPR cross
+    terms of the kept half with Bob's mode and with the output."""
     c_ba, c_be, c_oa, c_oe = _mode_coefficients(case, b)
     v_a, v_e = n.v_a, n.v_e
-    epr = math.sqrt(v_e ** 2 - 1.0)
-    return ((abs(c_ba) ** 2) * v_a + (abs(c_be) ** 2) * v_e,
-            (abs(c_oa) ** 2) * v_a + (abs(c_oe) ** 2) * v_e,
-            v_e,
-            c_oa * np.conj(c_ba) * v_a + c_oe * np.conj(c_be) * v_e,
-            np.conj(c_be) * epr,
-            c_oe * epr)
+    epr = np.sqrt(_sq(v_e) - 1.0)
+    out = np.empty((len(b), 6), dtype=complex)
+    out[:, 0] = _sq(_abs(c_ba)) * v_a + _sq(_abs(c_be)) * v_e
+    out[:, 1] = _sq(_abs(c_oa)) * v_a + _sq(_abs(c_oe)) * v_e
+    out[:, 2] = v_e
+    out[:, 3] = (_cmul(_cmul(c_oa, np.conj(c_ba)), v_a)
+                 + _cmul(_cmul(c_oe, np.conj(c_be)), v_e))
+    out[:, 4] = _cmul(np.conj(c_be), epr)
+    out[:, 5] = _cmul(c_oe, epr)
+    return out
 
 
 def _joint_stack(entries: np.ndarray) -> np.ndarray:
@@ -256,13 +257,25 @@ class CheckResult:
     draws: int
 
 
+# uniform ranges of beta_d, beta_g, beta_f, phi, v_s and v_e, in draw order
+_DRAW_RANGES = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * math.pi),
+                (1.0, 2000.0), (1.0, 20.0))
+_LINK = (1e13, 300.0)  # carrier frequency (Hz) and temperature (K) of every draw
+
+
 def random_branch(rng: np.random.Generator) -> tuple[BranchParams, NoiseModel]:
     """One parameter draw of the standard verification grid."""
-    b = make_branch(beta_d=rng.uniform(0.0, 1.0), beta_g=rng.uniform(0.0, 1.0),
-                    beta_f=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * math.pi))
-    n = NoiseModel.from_link(1e13, 300.0, v_s=rng.uniform(1.0, 2000.0),
-                             v_e=rng.uniform(1.0, 20.0))
-    return b, n
+    branches, n = _random_block(rng, 1)
+    return branches[0], replace(n, v_s=n.v_s.item(), v_e=n.v_e.item())
+
+
+def _random_block(rng: np.random.Generator, m: int) -> tuple[BranchSet, NoiseModel]:
+    """m successive draws as one branch set with per-branch noise, scaled as
+    ``Generator.uniform`` scales (low + (high - low) * u)."""
+    low, high = np.array(_DRAW_RANGES).T
+    x = low + (high - low) * rng.random((m, len(_DRAW_RANGES)))
+    noise = NoiseModel.from_link(*_LINK, v_s=x[:, 4], v_e=x[:, 5])
+    return branch_set(x[:, :3], x[:, 3]), noise
 
 
 def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResult]:
@@ -272,10 +285,11 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
     covariance eigensolver, conditional eigenvalues against the
     Schur-complement pipeline, and the conditional block matrix itself.
     ``perturb(case_tag, (lam1, lam2, lam3, lam4))`` may rewrite the
-    closed-form eigenvalues (fault-injection hook for tests).
+    closed-form eigenvalues of one draw (fault-injection hook for tests).
 
-    Draws are taken in blocks of ``VERIFY_BLOCK``.  The closed forms run per
-    draw and case; the oracle side of a whole block (joint covariances,
+    Draws are taken in blocks of ``VERIFY_BLOCK``, each as one branch set.
+    The closed forms run once per block and case through ``qkd.total_skr``,
+    the code that production runs; the oracle side (joint covariances,
     stored pairs, Schur complements and one eigensolve) runs on stacks.
     """
     tol = 1e-8
@@ -283,30 +297,23 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
     cases = tuple(AncillaCase)
     kinds = ("eigs_unconditional", "eigs_conditional", "cond_blocks")
     worst = np.zeros((len(cases), len(kinds)))
-    size = VERIFY_BLOCK
-    entries = np.empty((size, len(cases), 6), dtype=complex)
-    closed = np.empty((size, len(cases), 4))  # closed-form lam1..lam4
-    blocks = np.empty((size, len(cases), 4, 4), dtype=complex)
-    pairs = np.empty((size, len(cases), 2, 4, 4), dtype=complex)  # stored, conditioned
-    for start in range(0, draws, size):
-        m = min(size, draws - start)
-        for i in range(m):
-            b, n = random_branch(rng)
-            bv = bob_variances(b, n)
-            for c, case in enumerate(cases):
-                entries[i, c] = _joint_entries(case, b, n)
-                stored = eve_cov(case, b, n)
-                cov = _conditioned(case, b, n, AttackModel.PAPER, bv, stored)
-                lams = _two_mode_eigs(stored) + _conditional_eigs(cov)
-                closed[i, c] = lams if perturb is None else perturb(case.value, lams)
-                blocks[i, c] = cov.as_matrix()
-        joint = _joint_stack(entries[:m])
-        pairs[:m, :, 0] = joint[..., 2:, 2:]
-        pairs[:m, :, 1] = _homodyne_x(joint)
-        oracle = numeric_symplectic_eigs(pairs[:m]).reshape(m, len(cases), 4)
-        dev = np.abs(closed[:m] - oracle) / np.maximum(np.abs(oracle), 1e-300)
-        cond = pairs[:m, :, 1]
-        dev_b = (np.abs(blocks[:m] - cond).max(axis=(-2, -1))
+    for start in range(0, draws, VERIFY_BLOCK):
+        m = min(VERIFY_BLOCK, draws - start)
+        branches, noise = _random_block(rng, m)
+        reports = [total_skr(case, branches, noise) for case in cases]
+        closed = np.array([[r.rates.lambda_1, r.rates.lambda_2, r.rates.lambda_3,
+                            r.rates.lambda_4] for r in reports]).transpose(2, 0, 1)
+        if perturb is not None:
+            closed = np.array([[perturb(case.value, tuple(closed[i, c].tolist()))
+                                for c, case in enumerate(cases)] for i in range(m)])
+        blocks = np.stack([r.conditioned.as_matrix() for r in reports], axis=1)
+        joint = _joint_stack(np.stack([_joint_entries(case, branches, noise)
+                                       for case in cases], axis=1))
+        cond = _homodyne_x(joint)
+        oracle = numeric_symplectic_eigs(np.stack([joint[..., 2:, 2:], cond], axis=2))
+        oracle = oracle.reshape(m, len(cases), 4)
+        dev = np.abs(closed - oracle) / np.maximum(np.abs(oracle), 1e-300)
+        dev_b = (np.abs(blocks - cond).max(axis=(-2, -1))
                  / np.maximum(1.0, np.abs(cond).max(axis=(-2, -1))))
         block_worst = np.stack([dev[..., :2].max(axis=-1), dev[..., 2:].max(axis=-1),
                                 dev_b], axis=-1).max(axis=0)
@@ -331,7 +338,7 @@ def paper_mode_map(case: AncillaCase, b: BranchParams) -> np.ndarray:
     this map is not symplectic: Bob's mode and the stored output fail to
     commute.
     """
-    c_ba, c_be, c_oa, c_oe = _mode_coefficients(case, b)
+    c_ba, c_be, c_oa, c_oe = (c[0] for c in _mode_coefficients(case, BranchSet.of([b])))
     return _mode_map(3, {(0, 0): _complex_block(c_ba), (0, 1): _complex_block(c_be),
                          (1, 0): _complex_block(c_oa), (1, 1): _complex_block(c_oe)})
 

@@ -8,6 +8,11 @@ its symplectic eigenvalues before and after Bob's x-quadrature homodyne, which
 rewrites only the x entries of the pair (Weedbrook et al., Rev. Mod. Phys. 84,
 621 (2012)), and the resulting reverse-reconciliation key rate.
 
+Every closed form has one implementation, over numpy arrays of branches
+(``BranchSet``); given one ``BranchParams`` it answers in Python scalars.
+Array and one-branch results agree bit for bit with Python's float and
+complex arithmetic (see ``_sq``, ``_abs``, ``_log2`` and ``_conditioned``).
+
 Two attack models are available, selected by the ``model`` keyword:
 
 - ``AttackModel.PAPER`` (default) is the source paper's model: one probe mode
@@ -29,14 +34,17 @@ eigenvalues as vacuum (zero entropy); per-branch records count them.
 
 from __future__ import annotations
 
-import cmath
+import dataclasses
 import enum
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import BranchParams
+from .decomposition import BranchParams, BranchSet, _complex
 
 PLANCK = 6.62607015e-34  # J s
 BOLTZMANN = 1.380649e-23  # J/K
@@ -82,7 +90,8 @@ def thermal_occupation(f_c: float, t_e: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Quadrature variances of the link, in shot-noise units."""
+    """Quadrature variances of the link, in shot-noise units: floats, or
+    arrays with one value per branch."""
 
     n_bar: float
     v_o: float  # thermal/vacuum variance, 2*n_bar + 1
@@ -90,11 +99,11 @@ class NoiseModel:
     v_e: float  # EPR probe variance
 
     def __post_init__(self):
-        if self.v_o < 1.0:
+        if np.any(np.asarray(self.v_o) < 1.0):
             raise ValueError("v_o must be >= 1")
-        if self.v_e < 1.0:
+        if np.any(np.asarray(self.v_e) < 1.0):
             raise ValueError("v_e must be >= 1")
-        if not self.v_s > 0:
+        if not np.all(np.asarray(self.v_s) > 0):
             raise ValueError("v_s must be > 0")
 
     @property
@@ -108,6 +117,44 @@ class NoiseModel:
         return cls(n_bar=n_bar, v_o=2.0 * n_bar + 1.0, v_s=v_s, v_e=v_e)
 
 
+# numpy's x * x, np.square, np.abs and np.log2 round differently from
+# Python's x ** 2 (libm pow), abs() (hypot) and math.log2 on some inputs
+def _sq(x):
+    return np.float_power(x, 2.0)
+
+
+def _abs(z):
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.log2, x.ravel().tolist()))).reshape(x.shape)
+
+
+def _first(value):
+    """A one-branch result as plain Python scalars."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return np.ravel(value)[0].item()
+    if isinstance(value, tuple):
+        return tuple(map(_first, value))
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: _first(getattr(value, f.name))
+                                             for f in dataclasses.fields(value)})
+    return value
+
+
+def _branchwise(fn):
+    """Let a closed form over a ``BranchSet`` take one ``BranchParams`` too,
+    and then answer in Python scalars."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if BranchParams not in map(type, args):
+            return fn(*args, **kwargs)
+        return _first(fn(*[BranchSet.of([a]) if type(a) is BranchParams else a
+                            for a in args], **kwargs))
+    return call
+
+
 @dataclass(frozen=True)
 class BobVariances:
     v_b_d: float
@@ -116,7 +163,8 @@ class BobVariances:
     v_b_ris_cond: float
 
 
-def bob_variances(b: BranchParams, n: NoiseModel,
+@_branchwise
+def bob_variances(b: BranchSet, n: NoiseModel,
                   model: AttackModel = AttackModel.PAPER) -> BobVariances:
     """Receiver variances on both paths, and conditioned on the sent quadrature.
 
@@ -127,8 +175,8 @@ def bob_variances(b: BranchParams, n: NoiseModel,
         alpha2 = b.beta_g * b.beta_f
         gamma2 = 1.0 - alpha2
     else:
-        alpha2 = abs(b.alpha) ** 2
-        gamma2 = abs(b.gamma) ** 2
+        alpha2 = _sq(_abs(b.alpha))
+        gamma2 = _sq(_abs(b.gamma))
     return BobVariances(
         v_b_d=b.beta_d * n.v_a + (1.0 - b.beta_d) * n.v_e,
         v_b_ris=alpha2 * n.v_a + gamma2 * n.v_e,
@@ -137,13 +185,14 @@ def bob_variances(b: BranchParams, n: NoiseModel,
     )
 
 
-def _cross_coupling(b: BranchParams) -> float:
+def _cross_coupling(b: BranchSet):
     """sqrt(beta_f (1-beta_f) (1-beta_g)), the phase-sensitive cross term."""
-    return math.sqrt(b.beta_f * (1.0 - b.beta_f) * (1.0 - b.beta_g))
+    return np.sqrt(b.beta_f * (1.0 - b.beta_f) * (1.0 - b.beta_g))
 
 
-def eve_output_variance(case: AncillaCase, b: BranchParams, n: NoiseModel,
-                        model: AttackModel = AttackModel.PAPER) -> float:
+@_branchwise
+def eve_output_variance(case: AncillaCase, b: BranchSet, n: NoiseModel,
+                        model: AttackModel = AttackModel.PAPER):
     """Variance of the stored beamsplitter output for the given case."""
     if case is AncillaCase.DIRECT:
         return (1.0 - b.beta_d) * n.v_a + b.beta_d * n.v_e
@@ -151,58 +200,68 @@ def eve_output_variance(case: AncillaCase, b: BranchParams, n: NoiseModel,
         return (1.0 - b.beta_g) * n.v_a + b.beta_g * n.v_e
     probe_coeff = (1.0 - b.beta_g) + b.beta_g * b.beta_f
     if model is AttackModel.PAPER:
-        probe_coeff -= 2.0 * _cross_coupling(b) * math.cos(b.phi)
+        probe_coeff = probe_coeff - 2.0 * _cross_coupling(b) * np.cos(b.phi)
     return (1.0 - b.beta_f) * b.beta_g * n.v_a + probe_coeff * n.v_e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairCov:
     """Covariance of the stored {output, kept EPR half} pair in sector form.
 
     All three 2x2 blocks are diagonal: ``a`` holds the output block, ``b``
     the EPR-half block and ``c`` the cross block, each as (x entry, p
-    entry).  Bob's x-quadrature homodyne rewrites only the x entries.
+    entry).  Bob's x-quadrature homodyne rewrites only the x entries.  The
+    entries are scalars or arrays over branches.
     """
 
-    a: tuple[float, float]
-    b: tuple[float, float]
-    c: tuple[complex, complex]
+    a: tuple
+    b: tuple
+    c: tuple
 
     def as_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = np.diag(self.a)
-        m[2:, 2:] = np.diag(self.b)
-        m[:2, 2:] = np.diag(self.c)
-        m[2:, :2] = np.diag(np.conj(self.c))
+        """The 4x4 matrix, or a (..., 4, 4) stack for array entries."""
+        shape = np.broadcast(*self.a, *self.b, *self.c).shape
+        m = np.zeros(shape + (4, 4), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1] = self.a
+        m[..., 2, 2], m[..., 3, 3] = self.b
+        m[..., 0, 2], m[..., 1, 3] = self.c
+        m[..., 2, 0], m[..., 3, 1] = np.conj(self.c[0]), np.conj(self.c[1])
         return m
 
 
-def eve_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
+@_branchwise
+def eve_cov(case: AncillaCase, b: BranchSet, n: NoiseModel,
             model: AttackModel = AttackModel.PAPER) -> PairCov:
     """Covariance of the stored {output, kept EPR half} pair."""
-    t = n.v_e ** 2 - 1.0
-    if case is AncillaCase.DIRECT:
-        v_corr: complex = math.sqrt(b.beta_d * t)
-    elif case is AncillaCase.ALICE_RIS:
-        v_corr = math.sqrt(b.beta_g * t)
-    elif model is AttackModel.INDEPENDENT:
-        v_corr = math.sqrt(b.beta_f * t)
+    t = _sq(n.v_e) - 1.0
+    if case is AncillaCase.RIS_BOB and model is AttackModel.PAPER:
+        # beta_f_tilde * sqrt(t), part by part
+        v_corr = _complex(b.beta_f_tilde.real * np.sqrt(t), b.beta_f_tilde.imag * np.sqrt(t))
     else:
-        v_corr = b.beta_f_tilde * math.sqrt(t)
+        beta = {AncillaCase.DIRECT: b.beta_d, AncillaCase.ALICE_RIS: b.beta_g,
+                AncillaCase.RIS_BOB: b.beta_f}[case]
+        v_corr = _complex(np.sqrt(beta * t), 0.0)
     v_out = eve_output_variance(case, b, n, model)
     return PairCov(a=(v_out, v_out), b=(n.v_e, n.v_e), c=(v_corr, -v_corr))
 
 
-def _nonneg(value: float, scale: float) -> float:
-    """Clamp a tiny negative radicand to 0; reject real negativity."""
-    if value >= 0.0:
+def _nonneg(value, scale):
+    """Clamp tiny negative radicands to 0; reject real negativity."""
+    if (value >= 0.0).all():
         return value
-    if value >= -1e-9 * max(scale, 1.0):
-        return 0.0
-    raise NumericDomainError(f"radicand {value} negative beyond tolerance")
+    ok = (value >= 0.0) | (value >= -1e-9 * np.maximum(scale, 1.0))
+    if not ok.all():
+        bad = np.broadcast_to(value, ok.shape)[~ok][0]
+        raise NumericDomainError(f"radicand {bad} negative beyond tolerance")
+    return np.where(value >= 0.0, value, 0.0)
 
 
-def _two_mode_eigs(cov: PairCov) -> tuple[float, float]:
+def _ratio(num, den):
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
+
+
+def _two_mode_eigs(cov: PairCov):
     """Symplectic eigenvalues of the stored pair [[a*I, c*Z], [conj(c)*Z, b*I]].
 
     Uses the factored discriminant (a-b)^2 * ((a+b)^2 - 4*|c|^2) and recovers
@@ -210,64 +269,73 @@ def _two_mode_eigs(cov: PairCov) -> tuple[float, float]:
     eigenvalues are far apart.
     """
     a, b_, c = cov.a[0], cov.b[0], cov.c[0]
-    c2 = c.real ** 2 + c.imag ** 2
+    c2 = _sq(c.real) + _sq(c.imag)
     nabla = a * a + b_ * b_ - 2.0 * c2
     s = a * b_ - c2  # sqrt of the determinant, signed
-    f_plus = (a + b_) ** 2 - 4.0 * c2
-    disc = _nonneg(f_plus, (a + b_) ** 2) * (a - b_) ** 2
-    lam1_sq = 0.5 * (nabla + math.sqrt(disc))
-    lam1 = math.sqrt(_nonneg(lam1_sq, abs(nabla)))
-    lam2 = abs(s) / lam1 if lam1 > 0.0 else 0.0
-    return lam1, lam2
+    f_plus = _sq(a + b_) - 4.0 * c2
+    disc = _nonneg(f_plus, _sq(a + b_)) * _sq(a - b_)
+    lam1_sq = 0.5 * (nabla + np.sqrt(disc))
+    lam1 = np.sqrt(_nonneg(lam1_sq, np.abs(nabla)))
+    return lam1, _ratio(np.abs(s), lam1)
 
 
-def symplectic_eigs_unconditional(case: AncillaCase, b: BranchParams,
+@_branchwise
+def symplectic_eigs_unconditional(case: AncillaCase, b: BranchSet,
                                   n: NoiseModel,
-                                  model: AttackModel = AttackModel.PAPER,
-                                  ) -> tuple[float, float]:
+                                  model: AttackModel = AttackModel.PAPER):
     """Symplectic eigenvalues of the stored pair before conditioning."""
     return _two_mode_eigs(eve_cov(case, b, n, model))
 
 
-def _conditioned(case: AncillaCase, b: BranchParams, n: NoiseModel,
+def _conditioned(case: AncillaCase, b: BranchSet, n: NoiseModel,
                  model: AttackModel, bv: BobVariances, stored: PairCov) -> PairCov:
-    """The stored pair after Bob's homodyne: new x entries, stored p entries."""
+    """The stored pair after Bob's homodyne: new x entries, stored p entries.
+
+    Complex products are written out part by part, as Python rounds them;
+    numpy's complex multiply may fuse them.
+    """
     v_a, v_e = n.v_a, n.v_e
     v_b = bv.v_b_d if case is AncillaCase.DIRECT else bv.v_b_ris
-    if v_b <= 0.0:
+    if (v_b <= 0.0).any():
         raise NumericDomainError("conditioning variance is zero")
     corr = stored.c[0]  # the EPR correlation of the stored hop
     prod = b.beta_g * b.beta_f
     if case is AncillaCase.DIRECT:
         a0 = v_a * v_e / v_b
         b0 = (1.0 - b.beta_d + b.beta_d * v_a * v_e) / v_b
-        c0: complex = v_a * corr / v_b
+        c0 = (v_a * corr.real / v_b, v_a * corr.imag / v_b)
     elif model is AttackModel.INDEPENDENT:
         # every term is a non-negative product: no cancellation
         if case is AncillaCase.ALICE_RIS:
             a0 = ((1.0 - b.beta_g + prod) * v_a * v_e
-                  + b.beta_g * (1.0 - b.beta_f) * v_e ** 2) / v_b
-            b0 = (prod * v_a * v_e + (1.0 - b.beta_f) * v_e ** 2
+                  + b.beta_g * (1.0 - b.beta_f) * _sq(v_e)) / v_b
+            b0 = (prod * v_a * v_e + (1.0 - b.beta_f) * _sq(v_e)
                   + b.beta_f * (1.0 - b.beta_g)) / v_b
-            c0 = corr * (b.beta_f * v_a + (1.0 - b.beta_f) * v_e) / v_b
+            gain = b.beta_f * v_a + (1.0 - b.beta_f) * v_e
         else:
-            a0 = (b.beta_g * v_a * v_e + (1.0 - b.beta_g) * v_e ** 2) / v_b
-            b0 = (prod * v_a * v_e + b.beta_f * (1.0 - b.beta_g) * v_e ** 2
+            a0 = (b.beta_g * v_a * v_e + (1.0 - b.beta_g) * _sq(v_e)) / v_b
+            b0 = (prod * v_a * v_e + b.beta_f * (1.0 - b.beta_g) * _sq(v_e)
                   + 1.0 - b.beta_f) / v_b
-            c0 = corr * (b.beta_g * v_a + (1.0 - b.beta_g) * v_e) / v_b
+            gain = b.beta_g * v_a + (1.0 - b.beta_g) * v_e
+        c0 = (corr.real * gain / v_b, corr.imag * gain / v_b)
     else:
-        b0 = (abs(b.gamma) ** 2 + prod * v_a * v_e) / v_b
+        b0 = (_sq(_abs(b.gamma)) + prod * v_a * v_e) / v_b
         if case is AncillaCase.ALICE_RIS:
             x = _cross_coupling(b)
-            a0 = (1.0 - b.beta_g + prod + 2.0 * x * math.cos(b.phi)) * v_a * v_e / v_b
-            c0 = (b.beta_f + x * cmath.exp(-1j * b.phi)) * corr * v_a / v_b
+            a0 = (1.0 - b.beta_g + prod + 2.0 * x * np.cos(b.phi)) * v_a * v_e / v_b
+            # (beta_f + x * exp(-1j phi)) * corr * v_a / v_b; corr is real here
+            w_re = b.beta_f + x * np.cos(-b.phi)
+            w_im = x * np.sin(-b.phi)
+            c0 = (w_re * corr.real * v_a / v_b, w_im * corr.real * v_a / v_b)
         else:
             a0 = b.beta_g * v_a * v_e / v_b
-            c0 = b.beta_g * v_a * math.sqrt(b.beta_f * (v_e ** 2 - 1.0)) / v_b
-    return PairCov(a=(a0, stored.a[1]), b=(b0, stored.b[1]), c=(c0, stored.c[1]))
+            c0 = (b.beta_g * v_a * np.sqrt(b.beta_f * (_sq(v_e) - 1.0)) / v_b, 0.0)
+    return PairCov(a=(a0, stored.a[1]), b=(b0, stored.b[1]),
+                   c=(_complex(*c0), stored.c[1]))
 
 
-def conditional_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
+@_branchwise
+def conditional_cov(case: AncillaCase, b: BranchSet, n: NoiseModel,
                     model: AttackModel = AttackModel.PAPER) -> PairCov:
     """Closed-form stored-pair covariance conditioned on Bob's quadrature.
 
@@ -282,23 +350,22 @@ def conditional_cov(case: AncillaCase, b: BranchParams, n: NoiseModel,
                         eve_cov(case, b, n, model))
 
 
-def _conditional_eigs(cov: PairCov) -> tuple[float, float]:
+def _conditional_eigs(cov: PairCov):
     """Symplectic eigenvalues of a conditioned pair from its sector invariants."""
     (a0, a1), (b0, b1), (c0, c1) = cov.a, cov.b, cov.c
-    nabla = a0 * a1 + b0 * b1 + 2.0 * (c0 * c1).real
-    det = (_nonneg(a0 * b0 - abs(c0) ** 2, a0 * b0)
-           * _nonneg(a1 * b1 - abs(c1) ** 2, a1 * b1))
+    nabla = a0 * a1 + b0 * b1 + 2.0 * (c0.real * c1.real - c0.imag * c1.imag)
+    det = (_nonneg(a0 * b0 - _sq(_abs(c0)), a0 * b0)
+           * _nonneg(a1 * b1 - _sq(_abs(c1)), a1 * b1))
     disc = _nonneg(nabla * nabla - 4.0 * det, nabla * nabla)
-    lam3_sq = 0.5 * (nabla + math.sqrt(disc))
-    lam3 = math.sqrt(_nonneg(lam3_sq, abs(nabla)))
-    lam4 = math.sqrt(det) / lam3 if lam3 > 0.0 else 0.0
-    return lam3, lam4
+    lam3_sq = 0.5 * (nabla + np.sqrt(disc))
+    lam3 = np.sqrt(_nonneg(lam3_sq, np.abs(nabla)))
+    return lam3, _ratio(np.sqrt(det), lam3)
 
 
-def symplectic_eigs_conditional(case: AncillaCase, b: BranchParams,
+@_branchwise
+def symplectic_eigs_conditional(case: AncillaCase, b: BranchSet,
                                 n: NoiseModel,
-                                model: AttackModel = AttackModel.PAPER,
-                                ) -> tuple[float, float]:
+                                model: AttackModel = AttackModel.PAPER):
     """Symplectic eigenvalues of the conditional stored-pair covariance."""
     return _conditional_eigs(conditional_cov(case, b, n, model))
 
@@ -306,8 +373,9 @@ def symplectic_eigs_conditional(case: AncillaCase, b: BranchParams,
 _LN2 = math.log(2.0)
 
 
-def holevo_h(lam: float) -> float:
-    """Bosonic entropy of one symplectic eigenvalue, in bits.
+def holevo_h(lam):
+    """Bosonic entropy of symplectic eigenvalues, in bits: a float for a
+    float, an array for an array.
 
     Continuous at 1 with value 0; eigenvalues at or below 1 contribute
     nothing.  Under ``AttackModel.PAPER`` the RIS-side cases produce genuinely
@@ -316,29 +384,34 @@ def holevo_h(lam: float) -> float:
     ``BranchRecord.negativity_count``.  Under ``AttackModel.INDEPENDENT``
     every eigenvalue is at least 1 up to rounding.
     """
-    if not math.isfinite(lam):
+    lam_arr = np.asarray(lam, dtype=float)
+    if not np.isfinite(lam_arr).all():
         raise ValueError("eigenvalue must be finite")
-    if lam <= 1.0:
-        return 0.0
-    eps = lam - 1.0
-    if eps < 1e-8:
-        return 0.5 * eps * (math.log2(2.0 / eps) + 1.0 / _LN2)
-    u, w = 0.5 * (lam + 1.0), 0.5 * (lam - 1.0)
-    return u * math.log2(u) - w * math.log2(w)
+    eps = lam_arr - 1.0
+    far = eps >= 1e-8
+    u = np.where(far, 0.5 * (lam_arr + 1.0), 1.0)
+    w = np.where(far, 0.5 * (lam_arr - 1.0), 1.0)
+    out = np.where(far, u * _log2(u) - w * _log2(w), 0.0)
+    near = (lam_arr > 1.0) & ~far
+    if near.any():
+        e = eps[near]
+        out[near] = 0.5 * e * (_log2(2.0 / e) + 1.0 / _LN2)
+    return out if out.ndim else float(out)
 
 
-def _mutual_info(path: Path, bv: BobVariances) -> float:
+def _mutual_info(path: Path, bv: BobVariances) -> np.ndarray:
     if path is Path.DIRECT:
         num, den = bv.v_b_d, bv.v_b_d_cond
     else:
         num, den = bv.v_b_ris, bv.v_b_ris_cond
-    if den <= 0.0:
+    if (den <= 0.0).any():
         raise NumericDomainError("conditional variance is zero")
-    return 0.5 * math.log2(num / den)
+    return 0.5 * _log2(num / den)
 
 
-def mutual_info_ab(path: Path, b: BranchParams, n: NoiseModel,
-                   model: AttackModel = AttackModel.PAPER) -> float:
+@_branchwise
+def mutual_info_ab(path: Path, b: BranchSet, n: NoiseModel,
+                   model: AttackModel = AttackModel.PAPER):
     """Classical mutual information of one received path, in bits."""
     return _mutual_info(path, bob_variances(b, n, model))
 
@@ -361,27 +434,17 @@ class BranchRecord:
 
 def branch_skr(case: AncillaCase, b: BranchParams, n: NoiseModel,
                model: AttackModel = AttackModel.PAPER) -> BranchRecord:
-    """Reverse-reconciliation key rate of one branch.
+    """Reverse-reconciliation key rate of one branch (``total_skr`` of it)."""
+    return total_skr(case, [b], n, model=model).branches[0]
 
-    The Holevo term belongs to the stored hop's path: the direct path for the
-    direct case, the reflected path otherwise; the other path leaks nothing.
-    Bob's variances and the stored pair are built once and feed every term.
-    Negative rates are valid outputs (insecure regime).
-    """
-    bv = bob_variances(b, n, model)
-    stored = eve_cov(case, b, n, model)
-    i_d = _mutual_info(Path.DIRECT, bv)
-    i_r = _mutual_info(Path.RIS, bv)
-    lam1, lam2 = _two_mode_eigs(stored)
-    lam3, lam4 = _conditional_eigs(_conditioned(case, b, n, model, bv, stored))
-    holevo = (holevo_h(lam1) + holevo_h(lam2)
-              - holevo_h(lam3) - holevo_h(lam4))
-    negativity = sum(1 for lam in (lam1, lam2, lam3, lam4)
-                     if lam < 1.0 - NEGATIVITY_TOL)
-    return BranchRecord(index=b.branch_index, i_ab_direct=i_d, i_ab_ris=i_r,
-                        holevo=holevo, lambda_1=lam1, lambda_2=lam2,
-                        lambda_3=lam3, lambda_4=lam4,
-                        skr=i_d + i_r - holevo, negativity_count=negativity)
+
+def ordered_totals(values: np.ndarray, counts) -> list[float]:
+    """Sums of consecutive runs of ``counts`` values, each added left to
+    right in Python floats: a pairwise ``np.sum`` would break criterion 8
+    (duplicated branches add exactly) and criterion 10 (stable bytes)."""
+    it = iter(values.tolist())
+    return [functools.reduce(operator.add, itertools.islice(it, count), 0.0)
+            for count in counts]
 
 
 @dataclass(frozen=True)
@@ -394,29 +457,53 @@ class Warnings:
         return self.beta_clamped + self.eigen_negativity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkrReport:
-    """Total key rate over all branches with per-branch intermediates."""
+    """Key rates of a branch set: ``rates`` holds every ``BranchRecord``
+    field as an array in branch order, ``conditioned`` the conditioned
+    stored pairs; the per-branch records are built when first read."""
 
     ancilla_case: AncillaCase
-    branches: tuple[BranchRecord, ...] = field(default_factory=tuple)
-    total_skr: float = 0.0
-    warnings: Warnings = field(default_factory=Warnings)
+    rates: BranchRecord
+    conditioned: PairCov
+    total_skr: float
+    warnings: Warnings
+
+    @functools.cached_property
+    def branches(self) -> tuple[BranchRecord, ...]:
+        columns = [getattr(self.rates, f.name).tolist()
+                   for f in dataclasses.fields(BranchRecord)]
+        return tuple(BranchRecord(*row) for row in zip(*columns))
 
     @property
     def total_holevo(self) -> float:
-        return sum((rec.holevo for rec in self.branches), 0.0)
+        return sum(self.rates.holevo.tolist(), 0.0)
 
 
 def total_skr(case: AncillaCase, branches, n: NoiseModel,
               beta_clamp_count: int = 0,
               model: AttackModel = AttackModel.PAPER) -> SkrReport:
-    """Sum the branch rates in branch order (deterministic reduction)."""
-    records = tuple(branch_skr(case, b, n, model) for b in branches)
-    total = 0.0
-    for rec in records:
-        total += rec.skr
-    negativity = sum(rec.negativity_count for rec in records)
-    return SkrReport(ancilla_case=case, branches=records, total_skr=total,
+    """Reverse-reconciliation key rate of every branch in one pass, summed
+    in branch order.
+
+    ``branches`` is a ``BranchSet`` or a sequence of ``BranchParams``; the
+    noise variances are scalars or one value per branch.  The Holevo term
+    belongs to the stored hop's path: the direct path for the direct case,
+    the reflected path otherwise; the other path leaks nothing.  Negative
+    rates are valid outputs (insecure regime).
+    """
+    b = BranchSet.of(branches)
+    bv = bob_variances(b, n, model)
+    i_d, i_r = _mutual_info(Path.DIRECT, bv), _mutual_info(Path.RIS, bv)
+    stored = eve_cov(case, b, n, model)
+    lam1, lam2 = _two_mode_eigs(stored)
+    cond = _conditioned(case, b, n, model, bv, stored)
+    lams = np.array([lam1, lam2, *_conditional_eigs(cond)])
+    h1, h2, h3, h4 = holevo_h(lams)
+    holevo = h1 + h2 - h3 - h4
+    rates = BranchRecord(b.index, i_d, i_r, holevo, *lams, i_d + i_r - holevo,
+                         (lams < 1.0 - NEGATIVITY_TOL).sum(axis=0))
+    return SkrReport(ancilla_case=case, rates=rates, conditioned=cond,
+                     total_skr=ordered_totals(rates.skr, [len(b)])[0],
                      warnings=Warnings(beta_clamped=beta_clamp_count,
-                                       eigen_negativity=negativity))
+                                       eigen_negativity=int(rates.negativity_count.sum())))

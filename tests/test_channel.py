@@ -139,6 +139,18 @@ def test_path_spec_rejects_nonpositive_length():
         PathSpec(path_length=-1.0, aod=0.0, aoa=0.0)
 
 
+def test_geometry_rejects_infinite_lengths():
+    with pytest.raises(ValueError, match="path_length must be finite"):
+        PathSpec(path_length=math.inf, aod=0.0, aoa=0.0)
+    with pytest.raises(ValueError, match="element_spacing must be finite"):
+        ArrayGeometry(element_count=4, element_spacing=math.inf,
+                      gain_per_element_dbi=30.0)
+    for spacing in ((math.inf, 1e-5), (1e-5, math.inf)):
+        with pytest.raises(ValueError, match="spacings must be finite"):
+            RisGeometry(k_x=2, k_y=2, spacing_x=spacing[0], spacing_y=spacing[1],
+                        common_phase=0.0)
+
+
 def test_path_loss_free_space_identity():
     # unit endpoint gains, no absorption, one free-space "natural" distance
     scenario = _scenario(absorption_db_per_km=0.0)

@@ -128,6 +128,23 @@ def test_negative_roughness_rejected_by_name(capsys):
     assert "roughness must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-500", "inf", "nan"])
+def test_bad_absorption_rejected_by_name(capsys, value):
+    # a negative absorption would turn the path-loss term into a gain
+    assert main(["skr", "--set", f"absorption_db_per_km={value}"]) == 1
+    assert "absorption_db_per_km must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["antenna_spacing_wavelengths",
+                                 "ris_spacing_x_wavelengths",
+                                 "ris_spacing_y_wavelengths",
+                                 "extra_path_excess_length"])
+def test_infinite_length_rejected_by_name(capsys, key):
+    # with scattered paths every key reaches the channel build
+    assert main(["skr", "--set", "extra_paths_g=2", "--set", f"{key}=inf"]) == 1
+    assert f"{key} must be finite and > 0" in capsys.readouterr().err
+
+
 def test_io_error_exit_code(capsys):
     code = main(["sweep", "--variable", "distance", "--grid", "5:10:2",
                  "--output", "/nonexistent-dir/x.csv"])

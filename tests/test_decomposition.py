@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ris_cvqkd.channel import ChannelTriple, RisGeometry
-from ris_cvqkd.decomposition import branch_params, decompose, make_branch
+from ris_cvqkd.decomposition import branch_params, branch_set, decompose, make_branch
 
 
 def _ris(phase=0.0):
@@ -156,3 +156,5 @@ def test_make_branch_rejects_out_of_range():
         make_branch(1.5, 0.5, 0.5, 0.0)
     with pytest.raises(ValueError):
         make_branch(0.5, -0.1, 0.5, 0.0)
+    with pytest.raises(ValueError, match="beta_g=1.2 outside"):
+        branch_set(np.array([[0.2, 0.3, 0.4], [0.1, 1.2, 0.3]]), 0.0)
