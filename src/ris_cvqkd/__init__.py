@@ -10,11 +10,8 @@ from .experiments import (PhaseOptimum, SweepResult, SweepSpec, SweepVariable,
                           evaluate_scenario, max_secure_distance,
                           no_ris_baseline, optimal_phase, run_sweep)
 from .qkd import (AncillaCase, AttackModel, BranchRecord, NoiseModel,
-                  NumericDomainError, PairCov, Path, SkrReport,
-                  bob_variances, branch_skr, conditional_cov, eve_cov,
-                  eve_output_variance, holevo_h, mutual_info_ab,
-                  symplectic_eigs_conditional,
-                  symplectic_eigs_unconditional, thermal_occupation, total_skr)
+                  NumericDomainError, PairCov, Path, SkrReport, holevo_h,
+                  thermal_occupation, total_skr)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

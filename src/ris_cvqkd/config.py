@@ -162,11 +162,13 @@ def make_scenario(params: dict) -> Scenario:
     """Build the scenario value from resolved parameters."""
     p = resolve_params(params)
     # checked here so the message names the key, not a derived value
-    for key in ("carrier_frequency_hz", "antenna_spacing_wavelengths",
-                "ris_spacing_x_wavelengths", "ris_spacing_y_wavelengths",
-                "extra_path_excess_length"):
+    for key in ("carrier_frequency_hz", "temperature_k", "modulation_variance_snu",
+                "antenna_spacing_wavelengths", "ris_spacing_x_wavelengths",
+                "ris_spacing_y_wavelengths", "extra_path_excess_length"):
         if not 0 < p[key] < math.inf:
             raise ConfigError(f"{key} must be finite and > 0")
+    if not 1 <= p["eve_variance_snu"] < math.inf:
+        raise ConfigError("eve_variance_snu must be finite and >= 1")
     for key in ("roughness", "absorption_db_per_km"):
         if not 0 <= p[key] < math.inf:
             raise ConfigError(f"{key} must be finite and >= 0")

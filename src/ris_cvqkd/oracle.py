@@ -264,12 +264,13 @@ _LINK = (1e13, 300.0)  # carrier frequency (Hz) and temperature (K) of every dra
 
 
 def random_branch(rng: np.random.Generator) -> tuple[BranchParams, NoiseModel]:
-    """One parameter draw of the standard verification grid."""
-    branches, n = _random_block(rng, 1)
+    """One parameter draw of the standard verification grid: ``random_block``
+    of one, in Python scalars."""
+    branches, n = random_block(rng, 1)
     return branches[0], replace(n, v_s=n.v_s.item(), v_e=n.v_e.item())
 
 
-def _random_block(rng: np.random.Generator, m: int) -> tuple[BranchSet, NoiseModel]:
+def random_block(rng: np.random.Generator, m: int) -> tuple[BranchSet, NoiseModel]:
     """m successive draws as one branch set with per-branch noise, scaled as
     ``Generator.uniform`` scales (low + (high - low) * u)."""
     low, high = np.array(_DRAW_RANGES).T
@@ -299,7 +300,7 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
     worst = np.zeros((len(cases), len(kinds)))
     for start in range(0, draws, VERIFY_BLOCK):
         m = min(VERIFY_BLOCK, draws - start)
-        branches, noise = _random_block(rng, m)
+        branches, noise = random_block(rng, m)
         reports = [total_skr(case, branches, noise) for case in cases]
         closed = np.array([[r.rates.lambda_1, r.rates.lambda_2, r.rates.lambda_3,
                             r.rates.lambda_4] for r in reports]).transpose(2, 0, 1)

@@ -9,9 +9,10 @@ rewrites only the x entries of the pair (Weedbrook et al., Rev. Mod. Phys. 84,
 621 (2012)), and the resulting reverse-reconciliation key rate.
 
 Every closed form has one implementation, over numpy arrays of branches
-(``BranchSet``); given one ``BranchParams`` it answers in Python scalars.
-Array and one-branch results agree bit for bit with Python's float and
-complex arithmetic (see ``_sq``, ``_abs``, ``_log2`` and ``_conditioned``).
+(``BranchSet``), and one entry point, ``total_skr``, which rates a whole set
+in one pass.  Each entry agrees bit for bit with Python's float and complex
+arithmetic on that branch alone (see ``_sq``, ``_abs``, ``_log2`` and
+``_conditioned``).
 
 Two attack models are available, selected by the ``model`` keyword:
 
@@ -34,17 +35,16 @@ eigenvalues as vacuum (zero entropy); per-branch records count them.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decomposition import BranchParams, BranchSet, _complex
+from .decomposition import BranchSet, _complex
 
 PLANCK = 6.62607015e-34  # J s
 BOLTZMANN = 1.380649e-23  # J/K
@@ -80,9 +80,12 @@ class Path(enum.Enum):
 
 def thermal_occupation(f_c: float, t_e: float) -> float:
     """Mean thermal photon number 1/(exp(h f / k T) - 1), overflow-safe."""
-    if not (f_c > 0 and t_e > 0):
-        raise ValueError("frequency and temperature must be > 0")
-    x = PLANCK * f_c / (BOLTZMANN * t_e)
+    if not (0 < f_c < math.inf and 0 < t_e < math.inf):
+        raise ValueError("frequency and temperature must be finite and > 0")
+    kt = BOLTZMANN * t_e
+    if kt == 0.0:  # k T underflows: exp(h f / k T) is infinite
+        return 0.0
+    x = PLANCK * f_c / kt
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)
@@ -99,9 +102,9 @@ class NoiseModel:
     v_e: float  # EPR probe variance
 
     def __post_init__(self):
-        if np.any(np.asarray(self.v_o) < 1.0):
+        if not np.all(np.asarray(self.v_o) >= 1.0):
             raise ValueError("v_o must be >= 1")
-        if np.any(np.asarray(self.v_e) < 1.0):
+        if not np.all(np.asarray(self.v_e) >= 1.0):
             raise ValueError("v_e must be >= 1")
         if not np.all(np.asarray(self.v_s) > 0):
             raise ValueError("v_s must be > 0")
@@ -131,30 +134,6 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.log2, x.ravel().tolist()))).reshape(x.shape)
 
 
-def _first(value):
-    """A one-branch result as plain Python scalars."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return np.ravel(value)[0].item()
-    if isinstance(value, tuple):
-        return tuple(map(_first, value))
-    if dataclasses.is_dataclass(value):
-        return dataclasses.replace(value, **{f.name: _first(getattr(value, f.name))
-                                             for f in dataclasses.fields(value)})
-    return value
-
-
-def _branchwise(fn):
-    """Let a closed form over a ``BranchSet`` take one ``BranchParams`` too,
-    and then answer in Python scalars."""
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        if BranchParams not in map(type, args):
-            return fn(*args, **kwargs)
-        return _first(fn(*[BranchSet.of([a]) if type(a) is BranchParams else a
-                            for a in args], **kwargs))
-    return call
-
-
 @dataclass(frozen=True)
 class BobVariances:
     v_b_d: float
@@ -163,9 +142,7 @@ class BobVariances:
     v_b_ris_cond: float
 
 
-@_branchwise
-def bob_variances(b: BranchSet, n: NoiseModel,
-                  model: AttackModel = AttackModel.PAPER) -> BobVariances:
+def _bob_variances(b: BranchSet, n: NoiseModel, model: AttackModel) -> BobVariances:
     """Receiver variances on both paths, and conditioned on the sent quadrature.
 
     With independent probes the two reflected-path probes add incoherently,
@@ -188,20 +165,6 @@ def bob_variances(b: BranchSet, n: NoiseModel,
 def _cross_coupling(b: BranchSet):
     """sqrt(beta_f (1-beta_f) (1-beta_g)), the phase-sensitive cross term."""
     return np.sqrt(b.beta_f * (1.0 - b.beta_f) * (1.0 - b.beta_g))
-
-
-@_branchwise
-def eve_output_variance(case: AncillaCase, b: BranchSet, n: NoiseModel,
-                        model: AttackModel = AttackModel.PAPER):
-    """Variance of the stored beamsplitter output for the given case."""
-    if case is AncillaCase.DIRECT:
-        return (1.0 - b.beta_d) * n.v_a + b.beta_d * n.v_e
-    if case is AncillaCase.ALICE_RIS:
-        return (1.0 - b.beta_g) * n.v_a + b.beta_g * n.v_e
-    probe_coeff = (1.0 - b.beta_g) + b.beta_g * b.beta_f
-    if model is AttackModel.PAPER:
-        probe_coeff = probe_coeff - 2.0 * _cross_coupling(b) * np.cos(b.phi)
-    return (1.0 - b.beta_f) * b.beta_g * n.v_a + probe_coeff * n.v_e
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,19 +192,24 @@ class PairCov:
         return m
 
 
-@_branchwise
-def eve_cov(case: AncillaCase, b: BranchSet, n: NoiseModel,
-            model: AttackModel = AttackModel.PAPER) -> PairCov:
+def _eve_cov(case: AncillaCase, b: BranchSet, n: NoiseModel,
+             model: AttackModel) -> PairCov:
     """Covariance of the stored {output, kept EPR half} pair."""
+    tap = {AncillaCase.DIRECT: b.beta_d, AncillaCase.ALICE_RIS: b.beta_g,
+           AncillaCase.RIS_BOB: b.beta_f}[case]
+    if case is AncillaCase.RIS_BOB:
+        probe_coeff = (1.0 - b.beta_g) + b.beta_g * b.beta_f
+        if model is AttackModel.PAPER:
+            probe_coeff = probe_coeff - 2.0 * _cross_coupling(b) * np.cos(b.phi)
+        v_out = (1.0 - b.beta_f) * b.beta_g * n.v_a + probe_coeff * n.v_e
+    else:
+        v_out = (1.0 - tap) * n.v_a + tap * n.v_e
     t = _sq(n.v_e) - 1.0
     if case is AncillaCase.RIS_BOB and model is AttackModel.PAPER:
         # beta_f_tilde * sqrt(t), part by part
         v_corr = _complex(b.beta_f_tilde.real * np.sqrt(t), b.beta_f_tilde.imag * np.sqrt(t))
     else:
-        beta = {AncillaCase.DIRECT: b.beta_d, AncillaCase.ALICE_RIS: b.beta_g,
-                AncillaCase.RIS_BOB: b.beta_f}[case]
-        v_corr = _complex(np.sqrt(beta * t), 0.0)
-    v_out = eve_output_variance(case, b, n, model)
+        v_corr = _complex(np.sqrt(tap * t), 0.0)
     return PairCov(a=(v_out, v_out), b=(n.v_e, n.v_e), c=(v_corr, -v_corr))
 
 
@@ -279,25 +247,21 @@ def _two_mode_eigs(cov: PairCov):
     return lam1, _ratio(np.abs(s), lam1)
 
 
-@_branchwise
-def symplectic_eigs_unconditional(case: AncillaCase, b: BranchSet,
-                                  n: NoiseModel,
-                                  model: AttackModel = AttackModel.PAPER):
-    """Symplectic eigenvalues of the stored pair before conditioning."""
-    return _two_mode_eigs(eve_cov(case, b, n, model))
-
-
 def _conditioned(case: AncillaCase, b: BranchSet, n: NoiseModel,
                  model: AttackModel, bv: BobVariances, stored: PairCov) -> PairCov:
     """The stored pair after Bob's homodyne: new x entries, stored p entries.
 
-    Complex products are written out part by part, as Python rounds them;
-    numpy's complex multiply may fuse them.
+    Conditioning is on the direct-path quadrature for the direct case and on
+    the reflected-path quadrature for the two RIS cases.  Under independent
+    probes Bob's homodyne is referenced to the phase of the signal he
+    receives, and Eve references her RIS-to-receiver output the same way
+    (counter-rotating her kept EPR half); in these frames every block is real
+    and the RIS phase drops out.  Complex products are written out part by
+    part, as Python rounds them; numpy's complex multiply may fuse them.
     """
     v_a, v_e = n.v_a, n.v_e
+    # at least the conditional variance, which _mutual_info checks is > 0
     v_b = bv.v_b_d if case is AncillaCase.DIRECT else bv.v_b_ris
-    if (v_b <= 0.0).any():
-        raise NumericDomainError("conditioning variance is zero")
     corr = stored.c[0]  # the EPR correlation of the stored hop
     prod = b.beta_g * b.beta_f
     if case is AncillaCase.DIRECT:
@@ -334,22 +298,6 @@ def _conditioned(case: AncillaCase, b: BranchSet, n: NoiseModel,
                    c=(_complex(*c0), stored.c[1]))
 
 
-@_branchwise
-def conditional_cov(case: AncillaCase, b: BranchSet, n: NoiseModel,
-                    model: AttackModel = AttackModel.PAPER) -> PairCov:
-    """Closed-form stored-pair covariance conditioned on Bob's quadrature.
-
-    Conditioning is on the direct-path quadrature for the direct case and on
-    the reflected-path quadrature for the two RIS cases.  Under independent
-    probes Bob's homodyne is referenced to the phase of the signal he
-    receives, and Eve references her RIS-to-receiver output the same way
-    (counter-rotating her kept EPR half); in these frames every block is real
-    and the RIS phase drops out.
-    """
-    return _conditioned(case, b, n, model, bob_variances(b, n, model),
-                        eve_cov(case, b, n, model))
-
-
 def _conditional_eigs(cov: PairCov):
     """Symplectic eigenvalues of a conditioned pair from its sector invariants."""
     (a0, a1), (b0, b1), (c0, c1) = cov.a, cov.b, cov.c
@@ -360,14 +308,6 @@ def _conditional_eigs(cov: PairCov):
     lam3_sq = 0.5 * (nabla + np.sqrt(disc))
     lam3 = np.sqrt(_nonneg(lam3_sq, np.abs(nabla)))
     return lam3, _ratio(np.sqrt(det), lam3)
-
-
-@_branchwise
-def symplectic_eigs_conditional(case: AncillaCase, b: BranchSet,
-                                n: NoiseModel,
-                                model: AttackModel = AttackModel.PAPER):
-    """Symplectic eigenvalues of the conditional stored-pair covariance."""
-    return _conditional_eigs(conditional_cov(case, b, n, model))
 
 
 _LN2 = math.log(2.0)
@@ -409,13 +349,6 @@ def _mutual_info(path: Path, bv: BobVariances) -> np.ndarray:
     return 0.5 * _log2(num / den)
 
 
-@_branchwise
-def mutual_info_ab(path: Path, b: BranchSet, n: NoiseModel,
-                   model: AttackModel = AttackModel.PAPER):
-    """Classical mutual information of one received path, in bits."""
-    return _mutual_info(path, bob_variances(b, n, model))
-
-
 @dataclass(frozen=True)
 class BranchRecord:
     """All per-branch intermediates of the key-rate evaluation."""
@@ -430,12 +363,6 @@ class BranchRecord:
     lambda_4: float
     skr: float
     negativity_count: int
-
-
-def branch_skr(case: AncillaCase, b: BranchParams, n: NoiseModel,
-               model: AttackModel = AttackModel.PAPER) -> BranchRecord:
-    """Reverse-reconciliation key rate of one branch (``total_skr`` of it)."""
-    return total_skr(case, [b], n, model=model).branches[0]
 
 
 def ordered_totals(values: np.ndarray, counts) -> list[float]:
@@ -472,7 +399,7 @@ class SkrReport:
     @functools.cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
         columns = [getattr(self.rates, f.name).tolist()
-                   for f in dataclasses.fields(BranchRecord)]
+                   for f in fields(BranchRecord)]
         return tuple(BranchRecord(*row) for row in zip(*columns))
 
     @property
@@ -493,9 +420,9 @@ def total_skr(case: AncillaCase, branches, n: NoiseModel,
     rates are valid outputs (insecure regime).
     """
     b = BranchSet.of(branches)
-    bv = bob_variances(b, n, model)
+    bv = _bob_variances(b, n, model)
     i_d, i_r = _mutual_info(Path.DIRECT, bv), _mutual_info(Path.RIS, bv)
-    stored = eve_cov(case, b, n, model)
+    stored = _eve_cov(case, b, n, model)
     lam1, lam2 = _two_mode_eigs(stored)
     cond = _conditioned(case, b, n, model, bv, stored)
     lams = np.array([lam1, lam2, *_conditional_eigs(cond)])

@@ -33,11 +33,9 @@ from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
                                    scenario_at_distance,
                                    scenario_with_antennas,
                                    scenario_with_ris_elements)
-from ris_cvqkd.oracle import random_branch, run_verification
-from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel, branch_skr,
-                           mutual_info_ab,
-                           symplectic_eigs_unconditional, thermal_occupation,
-                           total_skr, Path)
+from ris_cvqkd.oracle import random_block, run_verification
+from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel,
+                           thermal_occupation, total_skr)
 
 GRID_DRAWS = 10_000
 
@@ -61,22 +59,18 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_uncertainty_bound():
-    rng = np.random.default_rng(42)
+    branches, n = random_block(np.random.default_rng(42), GRID_DRAWS)
     keys = [(model, case) for model in AttackModel for case in AncillaCase]
-    below = {key: 0 for key in keys}
-    uncounted = {key: 0 for key in keys}
-    min_lam = {key: math.inf for key in keys}
+    below, uncounted, min_lam = {}, {}, {}
     min_holevo = {model: math.inf for model in AttackModel}
-    for _ in range(GRID_DRAWS):
-        b, n = random_branch(rng)
-        for model, case in keys:
-            rec = branch_skr(case, b, n, model=model)
-            lams = (rec.lambda_1, rec.lambda_2, rec.lambda_3, rec.lambda_4)
-            sub_vacuum = sum(1 for lam in lams if lam < 1.0 - 1e-9)
-            min_lam[model, case] = min(min_lam[model, case], min(lams))
-            below[model, case] += sub_vacuum > 0
-            uncounted[model, case] += rec.negativity_count != sub_vacuum
-            min_holevo[model] = min(min_holevo[model], rec.holevo)
+    for model, case in keys:
+        rates = total_skr(case, branches, n, model=model).rates
+        lams = np.array([rates.lambda_1, rates.lambda_2, rates.lambda_3, rates.lambda_4])
+        sub_vacuum = (lams < 1.0 - 1e-9).sum(axis=0)
+        min_lam[model, case] = float(lams.min())
+        below[model, case] = int(np.count_nonzero(sub_vacuum))
+        uncounted[model, case] = int(np.count_nonzero(rates.negativity_count != sub_vacuum))
+        min_holevo[model] = min(min_holevo[model], float(rates.holevo.min()))
     # the bound holds where the model is a genuine beamsplitter network
     promised = [(AttackModel.INDEPENDENT, case) for case in AncillaCase] \
         + [(AttackModel.PAPER, AncillaCase.DIRECT)]
@@ -107,16 +101,17 @@ def test_criterion_3_limit_cases():
                         rng.uniform(0, 2 * math.pi))
         n = NoiseModel.from_link(1e13, 300.0, v_s=rng.uniform(1, 2000),
                                  v_e=1.0 + rng.uniform(0, 19))
-        rec = branch_skr(AncillaCase.DIRECT, b, n)
+        rec = total_skr(AncillaCase.DIRECT, [b], n).branches[0]
         worst_holevo = max(worst_holevo, abs(rec.holevo))
-        i_ab = mutual_info_ab(Path.DIRECT, b, n) + mutual_info_ab(Path.RIS, b, n)
+        i_ab = rec.i_ab_direct + rec.i_ab_ris
         worst_skr_gap = max(worst_skr_gap, abs(rec.skr - i_ab))
     worst_eig = 0.0
     for _ in range(50):
         b = make_branch(rng.uniform(0, 1), rng.uniform(0, 1),
                         rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
         n = NoiseModel.from_link(1e13, 300.0, v_s=rng.uniform(1, 2000), v_e=1.0)
-        lam1, lam2 = symplectic_eigs_unconditional(AncillaCase.DIRECT, b, n)
+        rec = total_skr(AncillaCase.DIRECT, [b], n).branches[0]
+        lam1, lam2 = rec.lambda_1, rec.lambda_2
         v_out = (1.0 - b.beta_d) * n.v_a + b.beta_d * n.v_e
         worst_eig = max(worst_eig, abs(lam1 - v_out), abs(lam2 - 1.0))
     ok = worst_holevo < 1e-12 and worst_skr_gap < 1e-12 and worst_eig < 1e-10
@@ -237,7 +232,7 @@ def test_criterion_8_recomposition():
         n = NoiseModel.from_link(1e13, 300.0, v_s=rng.uniform(1, 2000),
                                  v_e=1.0 + rng.uniform(0, 19))
         for case in AncillaCase:
-            rec = branch_skr(case, b, n)
+            rec = total_skr(case, [b], n).branches[0]
             x = math.sqrt(b.beta_f * (1 - b.beta_f) * (1 - b.beta_g))
             bracket = 1.0 - b.beta_f * b.beta_g + 2.0 * x * math.cos(b.phi)
             num = (b.beta_d * n.v_a + (1 - b.beta_d) * n.v_e) \

@@ -1,9 +1,9 @@
 """The batched closed forms against one-branch calls, on seeded random branch sets.
 
-``total_skr`` rates a whole ``BranchSet`` in one pass; ``branch_skr`` is
-the same code on one branch.  Every record field must agree bit for bit,
-the totals must be the branch-order sums as plain floats, and the rate
-must be even and 2*pi-periodic in the common phase.
+``total_skr`` rates a whole ``BranchSet`` in one pass; given a one-element
+list it runs the same code on one branch.  Every record field must agree
+bit for bit, the totals must be the branch-order sums as plain floats, and
+the rate must be even and 2*pi-periodic in the common phase.
 """
 
 import math
@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_cvqkd.decomposition import branch_set
-from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel, branch_skr,
-                           total_skr)
+from ris_cvqkd.qkd import AncillaCase, AttackModel, NoiseModel, total_skr
 
 # entropy rounding of one branch rate: four terms of up to ~1e4, each
 # rounded to about 2**-40 (the tolerance of bench/reference.py)
@@ -45,7 +44,7 @@ def test_batched_records_equal_one_branch_calls(draws, case, model):
     betas, phi, v_s, v_e = _split(draws)
     branches = branch_set(betas, phi)
     report = total_skr(case, branches, _noise(v_s, v_e), model=model)
-    singles = [branch_skr(case, b, _noise(float(s), float(e)), model)
+    singles = [total_skr(case, [b], _noise(float(s), float(e)), model=model).branches[0]
                for b, s, e in zip(branches, v_s, v_e)]
     assert report.branches == tuple(singles)
     total = 0.0

@@ -1,7 +1,7 @@
 """Bit-exact pin of the per-branch closed forms.
 
-``tests/data/closed_forms.txt`` holds every ``BranchRecord`` field of
-``branch_skr`` for 32 seeded draws of the verification grid and for 27 edge
+``tests/data/closed_forms.txt`` holds every ``BranchRecord`` field of a
+one-branch ``total_skr`` for 32 seeded draws of the verification grid and for 27 edge
 draws with each of beta_d, beta_g and beta_f at 0, 1 and 1 - 1e-12, under
 both attack models and all three storage cases.  Floats are stored as
 ``float.hex``, so any change of the last bit fails.  Regenerate the file
@@ -20,7 +20,7 @@ import numpy as np
 
 from ris_cvqkd.decomposition import make_branch
 from ris_cvqkd.oracle import random_branch
-from ris_cvqkd.qkd import AncillaCase, AttackModel, BranchRecord, branch_skr
+from ris_cvqkd.qkd import AncillaCase, AttackModel, BranchRecord, total_skr
 
 FIXTURE = Path(__file__).parent / "data" / "closed_forms.txt"
 SEED = 2012
@@ -49,7 +49,7 @@ def records() -> list[str]:
     for i, (b, n) in enumerate(_draws()):
         for model in AttackModel:
             for case in AncillaCase:
-                rec = branch_skr(case, b, n, model)
+                rec = total_skr(case, [b], n, model=model).branches[0]
                 values = (_token(getattr(rec, name)) for name in FIELDS)
                 lines.append(f"{i} {model.value} {case.value} " + " ".join(values))
     return lines

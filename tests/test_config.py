@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ris_cvqkd.cli import main
 from ris_cvqkd.config import (ConfigError, apply_overrides, default_scenario,
                               load_scenario, make_scenario, parse_config_text,
                               serialize_params)
@@ -110,3 +111,13 @@ def test_extra_paths_are_longer_and_off_axis():
 def test_default_scenario_rejects_unknown_keyword():
     with pytest.raises(ConfigError):
         default_scenario(bogus_key=1.0)
+
+
+@pytest.mark.parametrize("key, value", [("temperature_k", "inf"), ("temperature_k", "nan"),
+                                        ("eve_variance_snu", "inf"), ("eve_variance_snu", "nan"),
+                                        ("modulation_variance_snu", "inf")])
+def test_nonfinite_noise_key_rejected_by_name(capsys, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        default_scenario(**{key: float(value)})
+    assert main(["skr", "--set", f"{key}={value}"]) == 1
+    assert f"config error: {key} must be finite" in capsys.readouterr().err

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ris_cvqkd import oracle
-from ris_cvqkd.decomposition import make_branch
+from ris_cvqkd import oracle, qkd
+from ris_cvqkd.decomposition import BranchSet, make_branch
 from ris_cvqkd.oracle import (REGISTER_MODES, bona_fide_margin,
                               conditional_cov_oracle,
                               independent_conditional_cov,
@@ -16,13 +16,25 @@ from ris_cvqkd.oracle import (REGISTER_MODES, bona_fide_margin,
                               random_branch, run_verification,
                               symplectic_form)
 from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel, Path,
-                           PairCov, conditional_cov, eve_cov,
-                           symplectic_eigs_conditional,
-                           symplectic_eigs_unconditional)
+                           PairCov, total_skr)
+
+PAPER = AttackModel.PAPER
 
 
 def noise(v_s=1000.0, v_e=1.0, v_o=1.506):
     return NoiseModel(n_bar=(v_o - 1.0) / 2.0, v_o=v_o, v_s=v_s, v_e=v_e)
+
+
+def stored_matrix(case, b, n, model=PAPER):
+    """The closed-form stored pair of one branch as a 4x4 matrix."""
+    return qkd._eve_cov(case, BranchSet.of([b]), n, model).as_matrix()[0]
+
+
+def closed_forms(case, b, n, model=PAPER):
+    """One branch rated by ``total_skr``: its record and its conditioned
+    pair as a 4x4 matrix."""
+    report = total_skr(case, [b], n, model=model)
+    return report.branches[0], report.conditioned.as_matrix()[0]
 
 
 def test_identity_covariance():
@@ -44,7 +56,7 @@ def test_eigen_routines_agree():
         b = make_branch(*rng.uniform(0, 1, size=3), rng.uniform(0, 2 * math.pi))
         n = noise(v_s=rng.uniform(1, 2000), v_e=1.0 + rng.uniform(0, 19))
         for case in AncillaCase:
-            k = eve_cov(case, b, n).as_matrix()
+            k = stored_matrix(case, b, n)
             a = numeric_symplectic_eigs(k)
             d = numeric_symplectic_eigs_direct(k)
             assert a == pytest.approx(d, rel=1e-7, abs=1e-9)
@@ -56,7 +68,7 @@ def test_plus_minus_pairing_of_raw_spectrum():
     for _ in range(50):
         b = make_branch(*rng.uniform(0, 1, size=3), rng.uniform(0, 2 * math.pi))
         n = noise(v_s=rng.uniform(1, 100), v_e=1.0 + rng.uniform(0, 5))
-        k = eve_cov(AncillaCase.RIS_BOB, b, n).as_matrix()
+        k = stored_matrix(AncillaCase.RIS_BOB, b, n)
         raw = np.sort(np.abs(np.linalg.eigvals(1j * omega @ k)))
         assert raw[0] == pytest.approx(raw[1], rel=1e-7, abs=1e-9)
         assert raw[2] == pytest.approx(raw[3], rel=1e-7, abs=1e-9)
@@ -84,17 +96,15 @@ def test_joint_cov_is_hermitian_and_psd():
 
 
 def test_joint_cov_diagonal_matches_scalar_statistics():
-    from ris_cvqkd.qkd import bob_variances, eve_output_variance
-
     n = noise(v_e=3.5)
     b = make_branch(0.3, 0.7, 0.2, 0.9)
     for case in AncillaCase:
         j = joint_cov(case, b, n)
-        bv = bob_variances(b, n)
+        bv = qkd._bob_variances(BranchSet.of([b]), n, PAPER)
         expected_vb = bv.v_b_d if case is AncillaCase.DIRECT else bv.v_b_ris
         assert j[0, 0].real == pytest.approx(expected_vb, rel=1e-12)
         assert j[2, 2].real == pytest.approx(
-            eve_output_variance(case, b, n), rel=1e-12)
+            stored_matrix(case, b, n)[0, 0].real, rel=1e-12)
         assert j[4, 4].real == pytest.approx(n.v_e)
 
 
@@ -104,7 +114,7 @@ def test_conditioning_with_closed_tap_returns_unconditioned():
     n = noise(v_e=2.0)
     b = make_branch(1.0, 0.4, 0.6, 0.5)
     sigma = conditional_cov_oracle(AncillaCase.DIRECT, b, n)
-    unconditioned = eve_cov(AncillaCase.DIRECT, b, n).as_matrix()
+    unconditioned = stored_matrix(AncillaCase.DIRECT, b, n)
     np.testing.assert_allclose(sigma, unconditioned, atol=1e-12)
 
 
@@ -115,7 +125,7 @@ def test_conditional_oracle_matches_closed_blocks():
         n = noise(v_s=rng.uniform(1, 2000), v_e=1.0 + rng.uniform(0, 19))
         for case in AncillaCase:
             oracle_matrix = conditional_cov_oracle(case, b, n)
-            closed = conditional_cov(case, b, n).as_matrix()
+            closed = closed_forms(case, b, n)[1]
             scale = max(1.0, float(np.abs(oracle_matrix).max()))
             assert np.abs(oracle_matrix - closed).max() / scale < 1e-8
 
@@ -126,10 +136,11 @@ def test_closed_form_eigenvalues_match_oracle():
         b = make_branch(*rng.uniform(0, 1, size=3), rng.uniform(0, 2 * math.pi))
         n = noise(v_s=rng.uniform(1, 2000), v_e=1.0 + rng.uniform(0, 19))
         for case in AncillaCase:
-            closed_u = symplectic_eigs_unconditional(case, b, n)
-            oracle_u = numeric_symplectic_eigs(eve_cov(case, b, n).as_matrix())
+            rec, _ = closed_forms(case, b, n)
+            closed_u = (rec.lambda_1, rec.lambda_2)
+            oracle_u = numeric_symplectic_eigs(stored_matrix(case, b, n))
             assert closed_u == pytest.approx(oracle_u, rel=1e-8)
-            closed_c = symplectic_eigs_conditional(case, b, n)
+            closed_c = (rec.lambda_3, rec.lambda_4)
             oracle_c = numeric_symplectic_eigs(conditional_cov_oracle(case, b, n))
             assert closed_c == pytest.approx(oracle_c, rel=1e-8)
 
@@ -255,13 +266,14 @@ def test_independent_closed_forms_match_symplectic_oracle():
         for case in AncillaCase:
             stored = independent_stored_cov(case, b, n)
             cond = independent_conditional_cov(case, b, n)
-            for closed, reference in ((eve_cov(case, b, n, model), stored),
-                                      (conditional_cov(case, b, n, model), cond)):
+            rec, conditioned = closed_forms(case, b, n, model)
+            for closed, reference in ((stored_matrix(case, b, n, model), stored),
+                                      (conditioned, cond)):
                 scale = max(1.0, float(np.abs(reference).max()))
-                assert np.abs(closed.as_matrix() - reference).max() / scale < 1e-8
-            assert symplectic_eigs_unconditional(case, b, n, model) == \
+                assert np.abs(closed - reference).max() / scale < 1e-8
+            assert (rec.lambda_1, rec.lambda_2) == \
                 pytest.approx(numeric_symplectic_eigs(stored), rel=1e-8)
-            assert symplectic_eigs_conditional(case, b, n, model) == \
+            assert (rec.lambda_3, rec.lambda_4) == \
                 pytest.approx(numeric_symplectic_eigs(cond), rel=1e-8)
 
 
