@@ -97,16 +97,33 @@ def emit_csv(result: SweepResult, path: str) -> None:
                 report.warnings.eigen_negativity for report in reports)
             cells.append(str(warn))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    _write(path, lines)
+
+
+def _write(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
+
+
+def _emit_rows(result: SweepResult, output, describe) -> None:
+    """Write the rows to the CSV file ``output``, or print each row with
+    ``describe(reports)`` when no file is given."""
+    if output:
+        emit_csv(result, output)
+        print(f"wrote {len(result.rows)} rows to {output}")
+        return
+    for row in result.rows:
+        if row.error:
+            print(f"{_fmt(row.value)}: error: {row.error}")
+        else:
+            print(f"{_fmt(row.value)}: {describe(row.reports)}")
 
 
 def _cmd_skr(args) -> int:
     scenario = _load(args)
     cases = _parse_cases(args.cases)
     reports = experiments.evaluate_scenario(scenario, cases)
-    print(f"branches: {len(next(iter(reports.values())).branches)}")
+    print(f"branches: {len(next(iter(reports.values())).rates.skr)}")
     for case in cases:
         rep = reports[case]
         print(f"case {case.value}: skr = {_fmt(rep.total_skr)} bits/use"
@@ -120,18 +137,8 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(variable=SweepVariable(args.variable),
                      grid=_parse_grid(args.grid),
                      base=scenario, cases=_parse_cases(args.cases))
-    result = experiments.run_sweep(spec)
-    if args.output:
-        emit_csv(result, args.output)
-        print(f"wrote {len(result.rows)} rows to {args.output}")
-    else:
-        for row in result.rows:
-            if row.error:
-                print(f"{_fmt(row.value)}: error: {row.error}")
-            else:
-                rates = "  ".join(
-                    f"{c.value}={_fmt(row.reports[c].total_skr)}" for c in spec.cases)
-                print(f"{_fmt(row.value)}: {rates}")
+    _emit_rows(experiments.run_sweep(spec), args.output, lambda reports: "  ".join(
+        f"{c.value}={_fmt(reports[c].total_skr)}" for c in spec.cases))
     return EXIT_OK
 
 
@@ -160,13 +167,11 @@ def _cmd_max_distance(args) -> int:
                     probe, case, tolerance=args.tolerance,
                     d_min=args.d_min, d_max=args.d_max)))
             lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            _write(args.output, lines)
             print(f"wrote {len(frequencies)} rows to {args.output}")
         else:
-            print(text, end="")
+            print("\n".join(lines))
     else:
         for case in cases:
             d = experiments.max_secure_distance(
@@ -179,17 +184,8 @@ def _cmd_max_distance(args) -> int:
 def _cmd_baseline(args) -> int:
     scenario = _load(args)
     distances = _parse_grid(args.grid) if args.grid else None
-    result = experiments.no_ris_baseline(scenario, distances)
-    if args.output:
-        emit_csv(result, args.output)
-        print(f"wrote {len(result.rows)} rows to {args.output}")
-    else:
-        for row in result.rows:
-            if row.error:
-                print(f"{_fmt(row.value)}: error: {row.error}")
-            else:
-                rep = row.reports[AncillaCase.DIRECT]
-                print(f"{_fmt(row.value)}: skr = {_fmt(rep.total_skr)}")
+    _emit_rows(experiments.no_ris_baseline(scenario, distances), args.output,
+               lambda reports: f"skr = {_fmt(reports[AncillaCase.DIRECT].total_skr)}")
     return EXIT_OK
 
 
@@ -213,12 +209,13 @@ def build_parser() -> _Parser:
                                  "CV-QKD link with a direct path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cases=True):
         p.add_argument("--config", help="scenario config file (key = value lines)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--cases", default="d,g,f",
-                       help="comma-separated storage cases (d,g,f)")
+        if cases:
+            p.add_argument("--cases", default="d,g,f",
+                           help="comma-separated storage cases (d,g,f)")
 
     p = sub.add_parser("skr", help="evaluate the key rate for one scenario")
     common(p)
@@ -249,7 +246,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_max_distance)
 
     p = sub.add_parser("baseline", help="key rate with the RIS path removed")
-    common(p)
+    common(p, cases=False)
     p.add_argument("--grid", metavar="START:STOP:COUNT",
                    help="distance grid in meters")
     p.add_argument("--output", help="CSV output path")

@@ -2,10 +2,11 @@
 
 Covers key rate versus distance / RIS size / RIS phase / carrier frequency /
 antenna count, the optimal-common-phase search, the maximum secure distance,
-and the no-RIS baseline, all through one evaluator that decomposes a scenario
-once and rates its branches, optionally at another common phase or with the
-RIS-to-receiver tap closed.  Every grid point is a pure function of the
-scenario, so results are deterministic.
+and the no-RIS baseline.  Every driver turns a scenario into branches through
+one step (channels -> decomposition -> paired branches) and rates them through
+one batched rater, which takes the branches of many phases or distances
+stacked in one set.  Every grid point is a pure function of the scenario, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -72,42 +73,24 @@ def noise_model(scenario: Scenario) -> NoiseModel:
                                 scenario.modulation_variance, scenario.eve_variance)
 
 
-def _evaluator(scenario: Scenario):
-    """Run channels -> decomposition -> branches -> noise once for a scenario.
+def _branches(scenario: Scenario) -> tuple[BranchSet, int]:
+    """Channels -> decomposition -> paired branches, with the clamp count."""
+    return branch_params(decompose(build_channels(scenario)), scenario.ris)
 
-    Returns ``reports(cases, phi=None, ris_tap_closed=False)``, the per-case
-    key-rate reports.  ``phi`` replaces the common phase and
-    ``ris_tap_closed`` sets beta_f = 0 (the no-RIS equivalent), either by
-    rebuilding the branch set.  ``phi`` may be an array of P phases: the
-    branches are then repeated once per phase, phase by phase, and rated in
-    one pass.  The channels do not depend on the phase, so one evaluator
-    serves a whole phase search.
-    """
-    bundles = decompose(build_channels(scenario))
-    branches, clamped = branch_params(bundles, scenario.ris)
-    noise = noise_model(scenario)
 
-    def reports(cases, phi=None,
-                ris_tap_closed: bool = False) -> dict[AncillaCase, SkrReport]:
-        evaluated = branches
-        if phi is not None or ris_tap_closed:
-            repeats = np.size(phi) if phi is not None else 1
-            betas = np.tile(branches.betas, (repeats, 1))
-            if ris_tap_closed:
-                betas[:, 2] = 0.0
-            evaluated = branch_set(
-                betas, branches.phi if phi is None else np.repeat(phi, len(branches)),
-                np.tile(branches.index, repeats))
-        return {case: total_skr(case, evaluated, noise, beta_clamp_count=clamped)
-                for case in cases}
-
-    return reports
+def _rate(branches: BranchSet, noise: NoiseModel, cases,
+          clamped: int = 0) -> dict[AncillaCase, SkrReport]:
+    """Per-case reports of a branch set, which may stack the branches of
+    several phases or distances, in one ``total_skr`` pass per case."""
+    return {case: total_skr(case, branches, noise, beta_clamp_count=clamped)
+            for case in cases}
 
 
 def evaluate_scenario(scenario: Scenario,
                       cases=tuple(AncillaCase)) -> dict[AncillaCase, SkrReport]:
     """Full pipeline: channels -> branch decomposition -> per-case key rate."""
-    return _evaluator(scenario)(cases)
+    branches, clamped = _branches(scenario)
+    return _rate(branches, noise_model(scenario), cases, clamped)
 
 
 def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec, ...]:
@@ -186,29 +169,33 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
 
 
-def _sweep(base: Scenario, variable: SweepVariable, grid, cases,
-           ris_tap_closed: bool = False) -> SweepResult:
-    """Evaluate the pipeline on every grid point, in grid order.
+def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
+    """Evaluate the pipeline on every grid point, in grid order; with
+    ``ris_tap_closed`` every branch has beta_f = 0 (the no-RIS equivalent).
 
     Numeric failures at a point are recorded on its row instead of aborting
     the sweep.
     """
-    transform = _SCENARIO_TRANSFORMS[variable]
+    transform = _SCENARIO_TRANSFORMS[spec.variable]
     rows: list[SweepRow] = []
-    for value in map(float, grid):
+    for value in spec.grid:
         try:
-            reports = _evaluator(transform(base, value))(
-                cases, ris_tap_closed=ris_tap_closed)
+            scenario = transform(spec.base, value)
+            branches, clamped = _branches(scenario)
+            if ris_tap_closed:
+                branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
+                                      branches.phi)
+            reports = _rate(branches, noise_model(scenario), spec.cases, clamped)
             rows.append(SweepRow(value=value, reports=reports))
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(value=value, reports=None, error=str(exc)))
-    return SweepResult(variable=variable, cases=tuple(cases), rows=tuple(rows),
-                       scenario_digest=scenario_digest(base))
+    return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(rows),
+                       scenario_digest=scenario_digest(spec.base))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the pipeline on every grid point of the spec, in grid order."""
-    return _sweep(spec.base, spec.variable, spec.grid, spec.cases)
+    return _sweep(spec)
 
 
 @dataclass(frozen=True)
@@ -224,20 +211,27 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     The rate is even and 2*pi-periodic in the phase, so [0, pi] suffices.
     A grid scan at the requested resolution, rated in one pass, brackets
     the maximizer; a golden-section refinement follows.  The channel
-    matrices do not depend on the common phase, so the decomposition is
-    reused across evaluations.
+    matrices do not depend on the common phase, so one decomposition serves
+    every evaluation.
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
-    reports = _evaluator(base)
+    branches, _ = _branches(base)
+    noise = noise_model(base)
+
+    def report(phis) -> SkrReport:
+        """The branches repeated phase by phase, rated in one pass."""
+        tiled = branch_set(np.tile(branches.betas, (len(phis), 1)),
+                           np.repeat(phis, len(branches)),
+                           np.tile(branches.index, len(phis)))
+        return _rate(tiled, noise, (case,))[case]
 
     def rate(phi: float) -> float:
-        return reports((case,), phi)[case].total_skr
+        return report([phi]).total_skr
 
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
-    rated = reports((case,), np.array(grid))[case].rates.skr
-    values = ordered_totals(rated, [len(rated) // points] * points)
+    values = ordered_totals(report(grid).rates.skr, [len(branches)] * points)
     # rightmost maximizer: the rate can plateau exactly (clamped Holevo), and
     # the plateau edge next to the falling branch is the meaningful optimum
     best = max(range(points), key=lambda i: (values[i], i))
@@ -266,58 +260,58 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     return PhaseOptimum(phi_star=phi_star, skr_star=skr_star)
 
 
-def max_secure_distance(base: Scenario, case: AncillaCase,
-                        tolerance: float = 0.01,
-                        d_min: float = 0.5, d_max: float = 200.0,
-                        grid_points: int = 64, skr_fn=None) -> float:
-    """Largest distance with a positive key rate, by scan plus bisection.
-
-    The leg-ratio geometry is applied at every probe; the scan points are
-    rated in one pass, the bisection steps one at a time.  If the rate is still
-    positive at ``d_max`` the upper bound is returned; if it is nowhere
-    positive, 0 is returned.  When the rate is non-monotone the last
-    positive-to-nonpositive grid crossing is refined.  ``skr_fn(d)`` replaces
-    the pipeline when given (test hook).
-    """
-    noise = noise_model(base)  # the same at every distance
-
-    def rates(distances) -> list[float]:
-        sets = [branch_params(decompose(build_channels(scenario_at_distance(base, d))),
-                              base.ris)[0] for d in distances]
-        return ordered_totals(total_skr(case, BranchSet.join(sets), noise).rates.skr,
-                              map(len, sets))
-
-    grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
-            for i in range(grid_points)]
-    if skr_fn is None:
-        values = rates(grid)
-        skr_fn = lambda d: rates([d])[0]
-    else:
-        values = [skr_fn(d) for d in grid]
+def _last_crossing(rates, grid, tolerance: float) -> float:
+    """Largest point with a positive rate: the grid is rated in one
+    ``rates(points)`` call, then the last positive-to-nonpositive crossing is
+    bisected to ``tolerance``.  Returns the last grid point if the rate is
+    positive there, 0 if it is nowhere positive."""
+    values = rates(grid)
     if all(v <= 0.0 for v in values):
         return 0.0
     if values[-1] > 0.0:
-        return d_max
-    crossing = None
-    for i in range(grid_points - 1):
-        if values[i] > 0.0 >= values[i + 1]:
-            crossing = i
-    if crossing is None:  # positive only at the first point edge case
+        return grid[-1]
+    crossings = [i for i in range(len(grid) - 1) if values[i] > 0.0 >= values[i + 1]]
+    if not crossings:  # only with a NaN rate on the grid
         return grid[0]
-    lo, hi = grid[crossing], grid[crossing + 1]
+    lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
     while (hi - lo) > tolerance:
         mid = 0.5 * (lo + hi)
-        if skr_fn(mid) > 0.0:
+        if not lo < mid < hi:  # adjacent floats: no finer split exists
+            break
+        if rates([mid])[0] > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
+def max_secure_distance(base: Scenario, case: AncillaCase,
+                        tolerance: float = 0.01,
+                        d_min: float = 0.5, d_max: float = 200.0,
+                        grid_points: int = 64) -> float:
+    """Largest distance in [d_min, d_max] with a positive key rate, by a
+    ``grid_points`` scan plus bisection; the leg-ratio geometry is applied
+    at every probe."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    if not 0.0 < d_min < d_max < math.inf:
+        raise ValueError(f"need 0 < d_min < d_max < inf, got d_min={d_min}, d_max={d_max}")
+    noise = noise_model(base)  # the same at every distance
+
+    def rates(distances) -> list[float]:
+        sets = [_branches(scenario_at_distance(base, d))[0] for d in distances]
+        return ordered_totals(_rate(BranchSet.join(sets), noise, (case,))[case].rates.skr,
+                              map(len, sets))
+
+    grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
+            for i in range(grid_points)]
+    return _last_crossing(rates, grid, tolerance)
+
+
 def no_ris_baseline(base: Scenario, distances=None) -> SweepResult:
     """Key rate with the reflected path removed; only the direct-hop storage
     case is meaningful without a RIS."""
-    if distances is None:
-        distances = (base.d_alice_bob,)
-    return _sweep(base, SweepVariable.DISTANCE_AB, distances,
-                  (AncillaCase.DIRECT,), ris_tap_closed=True)
+    spec = SweepSpec(variable=SweepVariable.DISTANCE_AB,
+                     grid=(base.d_alice_bob,) if distances is None else distances,
+                     base=base, cases=(AncillaCase.DIRECT,))
+    return _sweep(spec, ris_tap_closed=True)

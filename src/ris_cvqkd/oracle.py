@@ -279,14 +279,12 @@ def random_block(rng: np.random.Generator, m: int) -> tuple[BranchSet, NoiseMode
     return branch_set(x[:, :3], x[:, 3]), noise
 
 
-def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResult]:
+def run_verification(draws: int, seed: int = 42) -> list[CheckResult]:
     """Closed forms versus the numeric oracle over a seeded random grid.
 
     Three checks per storage case: unconditional eigenvalues against the
     covariance eigensolver, conditional eigenvalues against the
     Schur-complement pipeline, and the conditional block matrix itself.
-    ``perturb(case_tag, (lam1, lam2, lam3, lam4))`` may rewrite the
-    closed-form eigenvalues of one draw (fault-injection hook for tests).
 
     Draws are taken in blocks of ``VERIFY_BLOCK``, each as one branch set.
     The closed forms run once per block and case through ``qkd.total_skr``,
@@ -304,9 +302,6 @@ def run_verification(draws: int, seed: int = 42, perturb=None) -> list[CheckResu
         reports = [total_skr(case, branches, noise) for case in cases]
         closed = np.array([[r.rates.lambda_1, r.rates.lambda_2, r.rates.lambda_3,
                             r.rates.lambda_4] for r in reports]).transpose(2, 0, 1)
-        if perturb is not None:
-            closed = np.array([[perturb(case.value, tuple(closed[i, c].tolist()))
-                                for c, case in enumerate(cases)] for i in range(m)])
         blocks = np.stack([r.conditioned.as_matrix() for r in reports], axis=1)
         joint = _joint_stack(np.stack([_joint_entries(case, branches, noise)
                                        for case in cases], axis=1))

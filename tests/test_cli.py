@@ -201,3 +201,23 @@ def test_baseline_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "distance,skr_d,holevo_d,warnings"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--grid", "5:5:3"],  # not strictly monotone, as for sweep
+    ["baseline", "--cases", "g"],  # only the direct case exists without a RIS
+])
+def test_baseline_rejects_what_it_cannot_rate(argv, capsys):
+    assert main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "0"],
+    ["--tolerance", "-1"], ["--d-min", "100", "--d-max", "10"],
+])
+def test_max_distance_rejects_unsearchable_input(flags, capsys):
+    argv = ["max-distance", "--cases", "g", "--set", "v_e=2", *flags]
+    assert main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert ("tolerance" if "--tolerance" in flags else "d_min") in err

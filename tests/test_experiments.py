@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ris_cvqkd import experiments
 from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
                                    max_secure_distance, no_ris_baseline,
@@ -125,35 +126,54 @@ def test_optimal_phase_known_endpoints():
     assert opt_g.phi_star <= 2.0 * math.pi / 128 + 1e-9
 
 
+# the scan and bisection of max_secure_distance, on synthetic batched rates
+_REACH_GRID = [0.5 + 199.5 * i / 63 for i in range(64)]
+
+
+def _synthetic(rate):
+    return lambda points: [rate(d) for d in points]
+
+
 def test_max_secure_distance_hook_upper_bound():
-    base = default_scenario()
-    d = max_secure_distance(base, AncillaCase.DIRECT, skr_fn=lambda d: 1.0)
+    d = experiments._last_crossing(_synthetic(lambda d: 1.0), _REACH_GRID, 0.01)
     assert d == 200.0
 
 
 def test_max_secure_distance_no_positive_rate():
-    base = default_scenario()
-    d = max_secure_distance(base, AncillaCase.DIRECT, skr_fn=lambda d: -1.0)
+    d = experiments._last_crossing(_synthetic(lambda d: -1.0), _REACH_GRID, 0.01)
     assert d == 0.0
 
 
 def test_max_secure_distance_refines_crossing():
-    base = default_scenario()
-    d = max_secure_distance(base, AncillaCase.DIRECT, tolerance=1e-6,
-                            skr_fn=lambda d: 42.0 - d)
+    d = experiments._last_crossing(_synthetic(lambda d: 42.0 - d), _REACH_GRID, 1e-6)
     assert d == pytest.approx(42.0, abs=1e-5)
 
 
 def test_max_secure_distance_takes_largest_crossing():
-    base = default_scenario()
     # positive on [0, 30] and again on [60, 90]: keep the far crossing
 
     def lobes(d):
         return 1.0 if d <= 30.0 or 60.0 <= d <= 90.0 else -1.0
 
-    d = max_secure_distance(base, AncillaCase.DIRECT, tolerance=1e-3,
-                            skr_fn=lobes)
+    d = experiments._last_crossing(_synthetic(lobes), _REACH_GRID, 1e-3)
     assert d == pytest.approx(90.0, abs=0.01)
+
+
+def test_last_crossing_stops_at_adjacent_floats():
+    # a tolerance below the float spacing ends once no midpoint splits further
+    d = experiments._last_crossing(_synthetic(lambda d: 42.0 - d), _REACH_GRID, 1e-300)
+    assert d == pytest.approx(42.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tolerance": 0.0}, {"tolerance": -1.0}, {"tolerance": math.nan},
+    {"tolerance": math.inf}, {"d_min": 100.0, "d_max": 10.0},
+    {"d_min": 0.0}, {"d_max": math.inf}, {"d_min": math.nan},
+])
+def test_max_secure_distance_rejects_unsearchable_input(kwargs):
+    name = "tolerance" if "tolerance" in kwargs else "d_min"
+    with pytest.raises(ValueError, match=name):
+        max_secure_distance(default_scenario(), AncillaCase.DIRECT, **kwargs)
 
 
 def test_max_secure_distance_orders_cases():
@@ -250,3 +270,24 @@ def test_baseline_never_beats_assisted_link():
         floor = row_b.reports[AncillaCase.DIRECT].total_skr
         for case in AncillaCase:
             assert floor <= row_a.reports[case].total_skr + 1e-15
+
+
+def _count_decompositions(monkeypatch):
+    calls = []
+    original = experiments.decompose
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "decompose", counted)
+    return calls
+
+
+def test_one_decomposition_per_phase_search_and_evaluation(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    base = default_scenario(d_ab=20.0)
+    optimal_phase(base, AncillaCase.RIS_BOB)
+    assert len(calls) == 1
+    evaluate_scenario(base)
+    assert len(calls) == 2

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -157,13 +158,17 @@ def test_run_verification_passes_on_seeded_grid():
     assert all(check.max_deviation < 1e-8 for check in results)
 
 
-def test_run_verification_detects_corrupted_closed_form():
-    def flip_sign(case_tag, lams):
-        if case_tag == "g":
-            return (-lams[0], lams[1], lams[2], lams[3])
-        return lams
+def test_run_verification_detects_corrupted_closed_form(monkeypatch):
+    # flip the sign of the first closed-form eigenvalue of case g
+    def flip_sign(case, branches, noise):
+        report = qkd.total_skr(case, branches, noise)
+        if case is not AncillaCase.ALICE_RIS:
+            return report
+        rates = dataclasses.replace(report.rates, lambda_1=-report.rates.lambda_1)
+        return dataclasses.replace(report, rates=rates)
 
-    results = run_verification(50, seed=42, perturb=flip_sign)
+    monkeypatch.setattr(oracle, "total_skr", flip_sign)
+    results = run_verification(50, seed=42)
     by_name = {check.name: check for check in results}
     assert not by_name["eigs_unconditional[g]"].passed
     assert by_name["eigs_unconditional[d]"].passed
