@@ -1,8 +1,9 @@
 """Secret key rate simulator for a RIS-assisted THz MIMO CV-QKD link."""
 
-from .channel import (ArrayGeometry, ChannelTriple, PathSpec, RisGeometry,
-                      Scenario, array_response, build_channels,
-                      line_of_sight_path, path_loss, ris_response)
+from .channel import (ArrayGeometry, ChannelFactors, ChannelTriple, PathSpec,
+                      RisGeometry, Scenario, array_response, build_channels,
+                      channel_factors, channels_at, line_of_sight_path,
+                      path_loss, ris_response)
 from .config import default_scenario, load_scenario
 from .decomposition import (BranchParams, BranchSet, SvdBundle, branch_params,
                             branch_set, decompose, make_branch)

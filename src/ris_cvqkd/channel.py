@@ -193,19 +193,21 @@ def ris_response(ris: RisGeometry, elevation, theta,
 
 
 def path_loss(path: PathSpec, scenario: Scenario,
-              endpoint_gains: tuple[float, float]) -> float:
+              endpoint_gains: tuple[float, float], length: float | None = None) -> float:
     """Power path loss of one path from a free-space link budget.
 
     The spreading term uses the path length in meters; the absorption
     exponent uses it in kilometers since the absorption coefficient is
     quoted in dB/km.  Non-LoS paths are additionally attenuated by the
     roughness factor and the path's Fresnel reflection coefficient.
+    ``length`` replaces the path's own length (a path rescaled by a
+    distance change).
     """
     g_tx, g_rx = endpoint_gains
     if not (g_tx > 0 and g_rx > 0):
         raise ValueError("endpoint gains must be > 0")
     lam = scenario.wavelength
-    d = path.path_length
+    d = path.path_length if length is None else length
     spreading = (lam / (4.0 * math.pi * d)) ** 2
     absorption = 10.0 ** (-0.1 * scenario.absorption_db_per_km * (d / 1000.0))
     delta = spreading * g_tx * g_rx * absorption
@@ -214,37 +216,66 @@ def path_loss(path: PathSpec, scenario: Scenario,
     return delta
 
 
-def build_channels(scenario: Scenario) -> ChannelTriple:
-    """Assemble the three channel matrices as sums over their paths.
+@dataclass(frozen=True)
+class ChannelFactors:
+    """What a distance change leaves alone: for the direct, transmitter-to-RIS
+    and RIS-to-receiver channel in turn, its base paths, its endpoint gains,
+    its arrival rows and its conjugated departure rows (one row per path);
+    ``scenario`` supplies the link budget."""
 
-    Each path contributes sqrt(path loss) * exp(j*2*pi*f_c*delay) times the
-    outer product of the arrival-side and departure-side response vectors.
-    The responses of all paths are built at once, the per-path terms added
-    in path order.  The RIS side's endpoint gain is its element count.
-    """
-    for name in ("multipaths_d", "multipaths_g", "multipaths_f"):
-        if not getattr(scenario, name):
-            raise ValueError(f"{name} must contain at least one path")
+    scenario: Scenario
+    channels: tuple[tuple[tuple[PathSpec, ...], tuple[float, float],
+                          np.ndarray, np.ndarray], ...]
+
+
+def channel_factors(scenario: Scenario) -> ChannelFactors:
+    """The steering rows of every path, one ``np.exp`` over paths x elements
+    per array side.  The RIS side's endpoint gain is its element count."""
     lam = scenario.wavelength
-    f_c = scenario.carrier_frequency
     tx, rx, ris = scenario.tx, scenario.rx, scenario.ris
     n_tx, n_rx = tx.element_count, rx.element_count
     g_tx, g_rx, k = n_tx * tx.gain_linear, n_rx * rx.gain_linear, float(ris.element_count)
     d, g, f = scenario.multipaths_d, scenario.multipaths_g, scenario.multipaths_f
-    table = (
+    return ChannelFactors(scenario, (
         (d, (g_tx, g_rx), array_response(n_rx, [p.aoa for p in d], rx.element_spacing, lam),
-         array_response(n_tx, [p.aod for p in d], tx.element_spacing, lam)),
+         array_response(n_tx, [p.aod for p in d], tx.element_spacing, lam).conj()),
         (g, (g_tx, k), ris_response(ris, [p.elevation for p in g], [p.aoa for p in g], lam),
-         array_response(n_tx, [p.aod for p in g], tx.element_spacing, lam)),
+         array_response(n_tx, [p.aod for p in g], tx.element_spacing, lam).conj()),
         (f, (k, g_rx), array_response(n_rx, [p.aoa for p in f], rx.element_spacing, lam),
-         ris_response(ris, [p.elevation for p in f], [p.aod for p in f], lam)),
-    )
+         ris_response(ris, [p.elevation for p in f], [p.aod for p in f], lam).conj()),
+    ))
+
+
+def channels_at(factors: ChannelFactors,
+                scales: tuple[float, float, float]) -> ChannelTriple:
+    """The three channel matrices with every path length and delay of the
+    i-th channel multiplied by ``scales[i]``.
+
+    Each path contributes sqrt(path loss) * exp(j*2*pi*f_c*delay) times the
+    outer product of its arrival row and conjugated departure row, added in
+    path order: a single matmul over paths would round differently.
+    """
+    scenario = factors.scenario
+    for name, (paths, *_), scale in zip("dgf", factors.channels, scales):
+        if not paths:
+            raise ValueError(f"multipaths_{name} must contain at least one path")
+        if not all(0 < p.path_length * scale < math.inf for p in paths):
+            raise ValueError("path_length must be finite and > 0")
+    turn = 2.0 * math.pi * scenario.carrier_frequency
     channels = []
-    for paths, gains, arrival, departure in table:
+    for (paths, gains, arrival, departure), scale in zip(factors.channels, scales):
         m = np.zeros((arrival.shape[1], departure.shape[1]), dtype=complex)
-        for p, a_l, b_l in zip(paths, arrival, departure):
-            amp = math.sqrt(path_loss(p, scenario, gains))
-            phase = np.exp(1j * 2.0 * math.pi * f_c * p.delay)
-            m += amp * phase * np.outer(a_l, b_l.conj())
+        # arrival columns times departure rows: np.outer's products, less overhead
+        for p, a_l, b_l in zip(paths, arrival[:, :, None], departure):
+            amp = math.sqrt(path_loss(p, scenario, gains, p.path_length * scale))
+            phase = turn * (p.delay * scale)
+            if not math.isfinite(phase):
+                raise ValueError(f"path phase overflows at delay {p.delay * scale:g} s")
+            m += amp * np.exp(1j * phase) * (a_l * b_l)
         channels.append(m)
     return ChannelTriple(*channels)
+
+
+def build_channels(scenario: Scenario) -> ChannelTriple:
+    """Assemble the three channel matrices as sums over their paths."""
+    return channels_at(channel_factors(scenario), (1.0, 1.0, 1.0))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSpec, Scenario, build_channels
+from .channel import (ChannelTriple, PathSpec, Scenario, build_channels, channel_factors,
+                      channels_at)
 from .config import GEOMETRY_RATIOS
 from .decomposition import BranchSet, branch_params, branch_set, decompose
 from .qkd import AncillaCase, NoiseModel, SkrReport, ordered_totals, total_skr
@@ -73,9 +74,13 @@ def noise_model(scenario: Scenario) -> NoiseModel:
                                 scenario.modulation_variance, scenario.eve_variance)
 
 
-def _branches(scenario: Scenario) -> tuple[BranchSet, int]:
-    """Channels -> decomposition -> paired branches, with the clamp count."""
-    return branch_params(decompose(build_channels(scenario)), scenario.ris)
+def _branches(scenario: Scenario,
+              channels: ChannelTriple | None = None) -> tuple[BranchSet, int]:
+    """Channels (the scenario's own unless given) -> decomposition -> paired
+    branches, with the clamp count."""
+    if channels is None:
+        channels = build_channels(scenario)
+    return branch_params(decompose(channels), scenario.ris)
 
 
 def _rate(branches: BranchSet, noise: NoiseModel, cases,
@@ -102,18 +107,26 @@ def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec,
     return tuple(out)
 
 
-def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
-    """Move the endpoints apart, keeping the fixed leg ratios and rescaling
-    every path proportionally to its channel's leg."""
+def _distance_scales(base: Scenario, d_ab: float) -> tuple[float, float, float]:
+    """Path scales of the direct, transmitter-to-RIS and RIS-to-receiver
+    channels when the endpoints move to ``d_ab`` at the fixed leg ratios."""
     if not d_ab > 0:
         raise ValueError("distance must be > 0")
     d_ar, d_rb = GEOMETRY_RATIOS[0] * d_ab, GEOMETRY_RATIOS[1] * d_ab
+    return d_ab / base.d_alice_bob, d_ar / base.d_alice_ris, d_rb / base.d_ris_bob
+
+
+def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
+    """Move the endpoints apart, keeping the fixed leg ratios and rescaling
+    every path proportionally to its channel's leg."""
+    s_d, s_g, s_f = _distance_scales(base, d_ab)
     return dataclasses.replace(
         base,
-        d_alice_bob=d_ab, d_alice_ris=d_ar, d_ris_bob=d_rb,
-        multipaths_d=_scaled_paths(base.multipaths_d, d_ab / base.d_alice_bob),
-        multipaths_g=_scaled_paths(base.multipaths_g, d_ar / base.d_alice_ris),
-        multipaths_f=_scaled_paths(base.multipaths_f, d_rb / base.d_ris_bob))
+        d_alice_bob=d_ab, d_alice_ris=GEOMETRY_RATIOS[0] * d_ab,
+        d_ris_bob=GEOMETRY_RATIOS[1] * d_ab,
+        multipaths_d=_scaled_paths(base.multipaths_d, s_d),
+        multipaths_g=_scaled_paths(base.multipaths_g, s_g),
+        multipaths_f=_scaled_paths(base.multipaths_f, s_f))
 
 
 def scenario_with_phase(base: Scenario, phi: float) -> Scenario:
@@ -156,7 +169,6 @@ def scenario_with_frequency(base: Scenario, f_c: float) -> Scenario:
 
 
 _SCENARIO_TRANSFORMS = {
-    SweepVariable.DISTANCE_AB: scenario_at_distance,
     SweepVariable.RIS_PHASE: scenario_with_phase,
     SweepVariable.RIS_ELEMENTS: scenario_with_ris_elements,
     SweepVariable.CARRIER_FREQUENCY: scenario_with_frequency,
@@ -173,15 +185,25 @@ def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
     """Evaluate the pipeline on every grid point, in grid order; with
     ``ris_tap_closed`` every branch has beta_f = 0 (the no-RIS equivalent).
 
+    A distance moves only path lengths and delays, so a distance sweep builds
+    the steering factors of the base scenario once and rescales its paths at
+    every point; every other variable rebuilds the scenario per point.
     Numeric failures at a point are recorded on its row instead of aborting
     the sweep.
     """
-    transform = _SCENARIO_TRANSFORMS[spec.variable]
+    base = spec.base
+    by_distance = spec.variable is SweepVariable.DISTANCE_AB
+    factors = channel_factors(base) if by_distance else None
     rows: list[SweepRow] = []
     for value in spec.grid:
         try:
-            scenario = transform(spec.base, value)
-            branches, clamped = _branches(scenario)
+            if by_distance:
+                scenario = base
+                branches, clamped = _branches(
+                    base, channels_at(factors, _distance_scales(base, value)))
+            else:
+                scenario = _SCENARIO_TRANSFORMS[spec.variable](base, value)
+                branches, clamped = _branches(scenario)
             if ris_tap_closed:
                 branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
                                       branches.phi)
@@ -291,15 +313,19 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
                         grid_points: int = 64) -> float:
     """Largest distance in [d_min, d_max] with a positive key rate, by a
     ``grid_points`` scan plus bisection; the leg-ratio geometry is applied
-    at every probe."""
+    at every probe by rescaling the paths of the base scenario's factors."""
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if not 0.0 < d_min < d_max < math.inf:
         raise ValueError(f"need 0 < d_min < d_max < inf, got d_min={d_min}, d_max={d_max}")
+    if not grid_points >= 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     noise = noise_model(base)  # the same at every distance
+    factors = channel_factors(base)
 
     def rates(distances) -> list[float]:
-        sets = [_branches(scenario_at_distance(base, d))[0] for d in distances]
+        sets = [_branches(base, channels_at(factors, _distance_scales(base, d)))[0]
+                for d in distances]
         return ordered_totals(_rate(BranchSet.join(sets), noise, (case,))[case].rates.skr,
                               map(len, sets))
 

@@ -6,7 +6,8 @@ import pytest
 
 from ris_cvqkd.channel import (ArrayGeometry, ChannelTriple, PathSpec,
                                RisGeometry, array_response, build_channels,
-                               line_of_sight_path, path_loss, ris_response)
+                               channel_factors, channels_at, line_of_sight_path,
+                               path_loss, ris_response)
 from ris_cvqkd.config import default_scenario
 
 WAVELENGTH = 299_792_458.0 / 1e13  # 10 THz carrier
@@ -262,6 +263,22 @@ def test_build_channels_path_linearity():
     t_single = build_channels(single)
     np.testing.assert_allclose(t_full.h_d, t_reduced.h_d + t_single.h_d,
                                rtol=0, atol=1e-18)
+
+
+def test_channels_at_rescales_each_channel():
+    # stretching the transmitter-to-RIS paths 3x equals rebuilding them 3x
+    # longer, with the other two channels untouched
+    import dataclasses
+    scenario = _scenario(extra_paths_g=2, los_aod_rad=-0.1)
+    stretched = dataclasses.replace(scenario, multipaths_g=tuple(
+        dataclasses.replace(p, path_length=p.path_length * 3.0, delay=p.delay * 3.0)
+        for p in scenario.multipaths_g))
+    got = channels_at(channel_factors(scenario), (1.0, 3.0, 1.0))
+    want = build_channels(stretched)
+    for name in ("h_d", "h_g", "h_f"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(ValueError, match="path_length must be finite"):
+        channels_at(channel_factors(scenario), (1.0, 0.0, 1.0))
 
 
 def test_build_channels_requires_paths():

@@ -33,6 +33,38 @@ def test_single_point_sweep_equals_direct_evaluation():
             == direct[case].total_skr
 
 
+RICH = dict(extra_paths_d=31, extra_paths_g=31, extra_paths_f=31,
+            extra_path_angle_spread_rad=1.0, extra_path_excess_length=1.001)
+
+
+def test_distance_sweep_rows_equal_rebuilt_scenarios():
+    # the sweep rescales the base scenario's paths; rebuilding the scenario
+    # at every point gives the same numbers bit for bit
+    base = default_scenario(**RICH)
+    grid = (1.3, 4.0, 9.7, 33.0, 120.0)
+    result = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid, base=base))
+    for d, row in zip(grid, result.rows):
+        rebuilt = evaluate_scenario(scenario_at_distance(base, d))
+        for case in AncillaCase:
+            got, want = row.reports[case], rebuilt[case]
+            assert got.total_skr == want.total_skr
+            assert got.total_holevo == want.total_holevo
+            assert got.warnings == want.warnings
+
+
+def test_distance_sweep_records_unreachable_points():
+    base = default_scenario()
+    grid = (-1.0, 0.0, 1.0, 1e308)
+    rows = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid,
+                               base=base)).rows
+    assert [row.error for row in rows[:2]] == ["distance must be > 0"] * 2
+    assert rows[2].error is None
+    assert rows[2].reports[AncillaCase.DIRECT].total_skr > 0.0
+    # at 1e308 m the path phase 2*pi*f_c*delay overflows a float
+    assert rows[3].reports is None
+    assert "phase overflows" in rows[3].error
+
+
 def test_distance_rule_applied_at_each_point():
     base = default_scenario()
     scenario = scenario_at_distance(base, 25.0)
@@ -169,9 +201,10 @@ def test_last_crossing_stops_at_adjacent_floats():
     {"tolerance": 0.0}, {"tolerance": -1.0}, {"tolerance": math.nan},
     {"tolerance": math.inf}, {"d_min": 100.0, "d_max": 10.0},
     {"d_min": 0.0}, {"d_max": math.inf}, {"d_min": math.nan},
+    {"grid_points": 1}, {"grid_points": 0},
 ])
 def test_max_secure_distance_rejects_unsearchable_input(kwargs):
-    name = "tolerance" if "tolerance" in kwargs else "d_min"
+    name = next(iter(kwargs))
     with pytest.raises(ValueError, match=name):
         max_secure_distance(default_scenario(), AncillaCase.DIRECT, **kwargs)
 
@@ -282,6 +315,24 @@ def _count_decompositions(monkeypatch):
 
     monkeypatch.setattr(experiments, "decompose", counted)
     return calls
+
+
+def test_channel_factors_built_once_per_distance_driver(monkeypatch):
+    calls = []
+    original = experiments.channel_factors
+
+    def counted(scenario):
+        calls.append(scenario)
+        return original(scenario)
+
+    monkeypatch.setattr(experiments, "channel_factors", counted)
+    base = default_scenario(eve_variance_snu=2.0)
+    run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=(2.0, 5.0, 9.0), base=base))
+    assert calls == [base]
+    no_ris_baseline(base, distances=(2.0, 5.0))
+    assert calls == [base, base]
+    max_secure_distance(base, AncillaCase.DIRECT)
+    assert calls == [base] * 3
 
 
 def test_one_decomposition_per_phase_search_and_evaluation(monkeypatch):
