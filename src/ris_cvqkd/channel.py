@@ -8,6 +8,7 @@ free-space-plus-absorption link budget.  All functions are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,36 +247,58 @@ def channel_factors(scenario: Scenario) -> ChannelFactors:
     ))
 
 
-def channels_at(factors: ChannelFactors,
-                scales: tuple[float, float, float]) -> ChannelTriple:
-    """The three channel matrices with every path length and delay of the
-    i-th channel multiplied by ``scales[i]``.
+def channels_at(factors: ChannelFactors, scales) -> Iterator[np.ndarray]:
+    """The direct, transmitter-to-RIS and RIS-to-receiver channels in turn,
+    each as a (P, n, m) stack of its matrices at the P triples in ``scales``;
+    at triple j, the i-th channel's path lengths and delays are scaled by
+    ``scales[j][i]``.
 
     Each path contributes sqrt(path loss) * exp(j*2*pi*f_c*delay) times the
     outer product of its arrival row and conjugated departure row, added in
-    path order: a single matmul over paths would round differently.
+    path order: a single matmul over paths would round differently.  All
+    path gains and phases are checked first; each stack is built only when
+    the iterator reaches it, so a caller can hold one at a time.
     """
     scenario = factors.scenario
-    for name, (paths, *_), scale in zip("dgf", factors.channels, scales):
+    turn = 2.0 * math.pi * scenario.carrier_frequency
+    channels = [(paths, np.array(column)) for (paths, *_), column
+                in zip(factors.channels, zip(*scales))]
+    with np.errstate(over="ignore"):  # reported by the checks below
+        # (L, P) per channel: the same products as point by point
+        lengths = [np.multiply.outer([p.path_length for p in paths], c) for paths, c in channels]
+        delays = [np.multiply.outer([p.delay for p in paths], c) for paths, c in channels]
+        phases = [turn * delay for delay in delays]
+    for name, (paths, _), length in zip("dgf", channels, lengths):
         if not paths:
             raise ValueError(f"multipaths_{name} must contain at least one path")
-        if not all(0 < p.path_length * scale < math.inf for p in paths):
+        if not ((length > 0) & (length < math.inf)).all():
             raise ValueError("path_length must be finite and > 0")
-    turn = 2.0 * math.pi * scenario.carrier_frequency
-    channels = []
-    for (paths, gains, arrival, departure), scale in zip(factors.channels, scales):
-        m = np.zeros((arrival.shape[1], departure.shape[1]), dtype=complex)
-        # arrival columns times departure rows: np.outer's products, less overhead
-        for p, a_l, b_l in zip(paths, arrival[:, :, None], departure):
-            amp = math.sqrt(path_loss(p, scenario, gains, p.path_length * scale))
-            phase = turn * (p.delay * scale)
-            if not math.isfinite(phase):
-                raise ValueError(f"path phase overflows at delay {p.delay * scale:g} s")
-            m += amp * np.exp(1j * phase) * (a_l * b_l)
-        channels.append(m)
-    return ChannelTriple(*channels)
+    coefficients = []  # (L, P) per channel: each path's complex gain at each point
+    for (paths, gains, *_), length, delay, phase in zip(factors.channels, lengths, delays,
+                                                        phases):
+        amps = np.sqrt([[path_loss(p, scenario, gains, d) for d in row]
+                        for p, row in zip(paths, length.tolist())])
+        if not np.isfinite(phase).all():
+            raise ValueError(f"path phase overflows at delay {delay[~np.isfinite(phase)][0]:g} s")
+        coefficients.append(amps * np.exp(1j * phase))
+    return (_stack(name, c, arrival, departure) for name, c, (_, _, arrival, departure)
+            in zip("dgf", coefficients, factors.channels))
+
+
+def _stack(name: str, coefficients, arrival: np.ndarray, departure: np.ndarray) -> np.ndarray:
+    stack = np.zeros((coefficients.shape[1], arrival.shape[1], departure.shape[1]), dtype=complex)
+    term = np.empty(stack.shape[1:], dtype=complex)  # one matrix: a block-sized one costs memory
+    # arrival columns times departure rows: np.outer's products, less overhead
+    for c_l, a_l, b_l in zip(coefficients, arrival[:, :, None], departure):
+        outer = a_l * b_l
+        for matrix, c in zip(stack, c_l):
+            matrix += np.multiply(c, outer, out=term)
+    if not np.isfinite(stack).all():
+        raise ValueError(f"h_{name} contains non-finite entries")
+    return stack
 
 
 def build_channels(scenario: Scenario) -> ChannelTriple:
     """Assemble the three channel matrices as sums over their paths."""
-    return channels_at(channel_factors(scenario), (1.0, 1.0, 1.0))
+    stacks = channels_at(channel_factors(scenario), [(1.0, 1.0, 1.0)])
+    return ChannelTriple(*(stack[0] for stack in stacks))

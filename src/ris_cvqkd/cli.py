@@ -41,6 +41,8 @@ def _parse_cases(text: str) -> tuple[AncillaCase, ...]:
     for tag in tags:
         if tag not in lookup:
             raise UsageError(f"unknown case {tag!r}; choose from d, g, f")
+        if lookup[tag] in cases:
+            raise UsageError(f"case {tag!r} given twice")
         cases.append(lookup[tag])
     if not cases:
         raise UsageError("at least one case required")

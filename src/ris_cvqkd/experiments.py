@@ -3,29 +3,35 @@
 Covers key rate versus distance / RIS size / RIS phase / carrier frequency /
 antenna count, the optimal-common-phase search, the maximum secure distance,
 and the no-RIS baseline.  Every driver turns a scenario into branches through
-one step (channels -> decomposition -> paired branches) and rates them through
-one batched rater, which takes the branches of many phases or distances
-stacked in one set.  Every grid point is a pure function of the scenario, so
-results are deterministic.
+one step (channels -> decomposition -> paired branches) and rates them in one
+batched pass per case over the branches of many phases or distances stacked
+in one set.  Distance and phase grids are rated in blocks of points.  Every
+grid point is a pure function of the scenario, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (ChannelTriple, PathSpec, Scenario, build_channels, channel_factors,
-                      channels_at)
+from .channel import PathSpec, Scenario, build_channels, channel_factors, channels_at
 from .config import GEOMETRY_RATIOS
-from .decomposition import BranchSet, branch_params, branch_set, decompose
-from .qkd import AncillaCase, NoiseModel, SkrReport, ordered_totals, total_skr
+from .decomposition import (BranchSet, _decompose_one, branch_params, branch_set,
+                            decompose)
+from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, Warnings,
+                  ordered_totals, total_skr)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# complex entries of one channel's stack over a block of grid points: 8 points
+# of a 32 x 100 channel, one point of a channel above 13,000 entries
+_BLOCK_ENTRIES = 26_000
 
 
 class SweepVariable(enum.Enum):
@@ -51,7 +57,10 @@ class SweepSpec:
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "cases", tuple(self.cases))
+        cases = tuple(self.cases)
+        if not cases or len(set(cases)) != len(cases):
+            raise ValueError("cases must be non-empty and distinct")
+        object.__setattr__(self, "cases", cases)
 
 
 @dataclass(frozen=True)
@@ -74,28 +83,23 @@ def noise_model(scenario: Scenario) -> NoiseModel:
                                 scenario.modulation_variance, scenario.eve_variance)
 
 
-def _branches(scenario: Scenario,
-              channels: ChannelTriple | None = None) -> tuple[BranchSet, int]:
-    """Channels (the scenario's own unless given) -> decomposition -> paired
-    branches, with the clamp count."""
-    if channels is None:
-        channels = build_channels(scenario)
-    return branch_params(decompose(channels), scenario.ris)
+def _branches(scenario: Scenario) -> tuple[BranchSet, int]:
+    """Channels -> decomposition -> paired branches, with the clamp count."""
+    return branch_params(decompose(build_channels(scenario)), scenario.ris)
 
 
-def _rate(branches: BranchSet, noise: NoiseModel, cases,
-          clamped: int = 0) -> dict[AncillaCase, SkrReport]:
-    """Per-case reports of a branch set, which may stack the branches of
-    several phases or distances, in one ``total_skr`` pass per case."""
-    return {case: total_skr(case, branches, noise, beta_clamp_count=clamped)
-            for case in cases}
+def _tiled(branches: BranchSet, phis) -> BranchSet:
+    """The branches repeated phase by phase, in branch order within a phase."""
+    return branch_set(np.tile(branches.betas, (len(phis), 1)),
+                      np.repeat(phis, len(branches)), np.tile(branches.index, len(phis)))
 
 
 def evaluate_scenario(scenario: Scenario,
                       cases=tuple(AncillaCase)) -> dict[AncillaCase, SkrReport]:
     """Full pipeline: channels -> branch decomposition -> per-case key rate."""
     branches, clamped = _branches(scenario)
-    return _rate(branches, noise_model(scenario), cases, clamped)
+    noise = noise_model(scenario)
+    return {case: total_skr(case, branches, noise, clamped) for case in cases}
 
 
 def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec, ...]:
@@ -129,14 +133,16 @@ def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
         multipaths_f=_scaled_paths(base.multipaths_f, s_f))
 
 
-def scenario_with_phase(base: Scenario, phi: float) -> Scenario:
-    return dataclasses.replace(
-        base, ris=dataclasses.replace(base.ris, common_phase=phi))
+def _whole(value, what: str) -> int:
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} {value!r} is not a whole number")
+    return n
 
 
 def scenario_with_ris_elements(base: Scenario, k: int) -> Scenario:
     """Square RIS layout; the element count must be a perfect square."""
-    k = int(k)
+    k = _whole(k, "RIS element count")
     side = math.isqrt(k)
     if side * side != k or k < 1:
         raise ValueError(f"RIS element count {k} is not a perfect square")
@@ -145,7 +151,7 @@ def scenario_with_ris_elements(base: Scenario, k: int) -> Scenario:
 
 
 def scenario_with_antennas(base: Scenario, n: int) -> Scenario:
-    n = int(n)
+    n = _whole(n, "antenna count")
     return dataclasses.replace(
         base,
         tx=dataclasses.replace(base.tx, element_count=n),
@@ -169,7 +175,6 @@ def scenario_with_frequency(base: Scenario, f_c: float) -> Scenario:
 
 
 _SCENARIO_TRANSFORMS = {
-    SweepVariable.RIS_PHASE: scenario_with_phase,
     SweepVariable.RIS_ELEMENTS: scenario_with_ris_elements,
     SweepVariable.CARRIER_FREQUENCY: scenario_with_frequency,
     SweepVariable.ANTENNA_COUNT: scenario_with_antennas,
@@ -181,38 +186,100 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
 
 
+def _block_points(scenario: Scenario) -> int:
+    """Grid points per block: the stack of the largest channel stays within
+    ``_BLOCK_ENTRIES`` entries, with one point at least."""
+    n_tx, n_rx = scenario.tx.element_count, scenario.rx.element_count
+    k = scenario.ris.element_count
+    return max(1, _BLOCK_ENTRIES // max(n_rx * n_tx, k * n_tx, n_rx * k))
+
+
+def _split(report: SkrReport, counts, clamps) -> list[SkrReport]:
+    """The reports of consecutive runs of ``counts`` branches of a joined report,
+    each summed in branch order and warned of its own clamps and negativity."""
+    stops = [0, *itertools.accumulate(counts)]
+    negative = [0, *itertools.accumulate(report.rates.negativity_count.tolist())]
+    rates, cond = report.rates, report.conditioned
+    return [SkrReport(report.ancilla_case,
+                      BranchRecord(*(getattr(rates, f.name)[lo:hi] for f in fields(rates))),
+                      PairCov(*(tuple(x[lo:hi] if np.ndim(x) else x for x in pair)
+                                for pair in (cond.a, cond.b, cond.c))),
+                      total, Warnings(clamped, negative[hi] - negative[lo]))
+            for lo, hi, total, clamped
+            in zip(stops, stops[1:], ordered_totals(rates.skr, counts), clamps)]
+
+
+def _rate_blocks(values, size: int, points, cases, ris_tap_closed: bool = False) -> list:
+    """Per-point reports of a grid, ``size`` points at a time: ``points(block)``
+    gives the block's joined branches, their counts and clamp counts per point
+    and the noise model, and each case is rated once over the block (with
+    beta_f = 0 if ``ris_tap_closed``).  A block that raises is rated again
+    point by point; a failing point gives its exception for its reports."""
+    out = []
+    for start in range(0, len(values), size):
+        block = values[start:start + size]
+        try:
+            branches, counts, clamps, noise = points(block)
+            if ris_tap_closed:
+                branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
+                                      branches.phi, branches.index)
+            reports = [_split(total_skr(case, branches, noise), counts, clamps)
+                       for case in cases]
+            out += [dict(zip(cases, row)) for row in zip(*reports)]
+        except (ValueError, ArithmeticError) as exc:
+            out += [exc] if len(block) == 1 else _rate_blocks(block, 1, points, cases,
+                                                              ris_tap_closed)
+    return out
+
+
+def _distance_points(base: Scenario):
+    """``points`` of distances: the base factors rescaled, one channel stack at
+    a time, dropped once its singular values are taken (``map`` keeps none)."""
+    factors = channel_factors(base)
+
+    def points(distances):
+        stacks = channels_at(factors, [_distance_scales(base, d) for d in distances])
+        bundles = zip(*map(lambda stack: [_decompose_one(h) for h in stack], stacks))
+        sets = [branch_params(b, base.ris) for b in bundles]
+        return (BranchSet.join([b for b, _ in sets]), [len(b) for b, _ in sets],
+                [clamped for _, clamped in sets], noise_model(base))
+
+    return points
+
+
 def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
     """Evaluate the pipeline on every grid point, in grid order; with
     ``ris_tap_closed`` every branch has beta_f = 0 (the no-RIS equivalent).
 
-    A distance moves only path lengths and delays, so a distance sweep builds
-    the steering factors of the base scenario once and rescales its paths at
-    every point; every other variable rebuilds the scenario per point.
-    Numeric failures at a point are recorded on its row instead of aborting
-    the sweep.
+    Distance and phase grids go in blocks of ``_block_points`` points with no
+    ``Scenario`` per point (the phase leaves the channels alone, so they are
+    decomposed once); other variables rebuild the scenario at every point.
+    A failing point's error is recorded on its row.
     """
     base = spec.base
-    by_distance = spec.variable is SweepVariable.DISTANCE_AB
-    factors = channel_factors(base) if by_distance else None
-    rows: list[SweepRow] = []
-    for value in spec.grid:
-        try:
-            if by_distance:
-                scenario = base
-                branches, clamped = _branches(
-                    base, channels_at(factors, _distance_scales(base, value)))
-            else:
-                scenario = _SCENARIO_TRANSFORMS[spec.variable](base, value)
-                branches, clamped = _branches(scenario)
-            if ris_tap_closed:
-                branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
-                                      branches.phi)
-            reports = _rate(branches, noise_model(scenario), spec.cases, clamped)
-            rows.append(SweepRow(value=value, reports=reports))
-        except (ValueError, ArithmeticError) as exc:
-            rows.append(SweepRow(value=value, reports=None, error=str(exc)))
-    return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(rows),
-                       scenario_digest=scenario_digest(spec.base))
+    if spec.variable is SweepVariable.DISTANCE_AB:
+        size, points = _block_points(base), _distance_points(base)
+    elif spec.variable is SweepVariable.RIS_PHASE:
+        # a failure is not cached: every row then carries the base's own error
+        size, decomposed = _block_points(base), functools.cache(lambda: _branches(base))
+
+        def points(phis):  # each phase folded as RisGeometry folds it
+            folded = [dataclasses.replace(base.ris, common_phase=phi).common_phase
+                      for phi in phis]
+            branches, clamped = decomposed()
+            return (_tiled(branches, folded), [len(branches)] * len(phis),
+                    [clamped] * len(phis), noise_model(base))
+    else:
+        size, transform = 1, _SCENARIO_TRANSFORMS[spec.variable]
+
+        def points(values):
+            scenario = transform(base, values[0])
+            branches, clamped = _branches(scenario)
+            return branches, [len(branches)], [clamped], noise_model(scenario)
+    rows = _rate_blocks(spec.grid, size, points, spec.cases, ris_tap_closed)
+    return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(
+        SweepRow(value, None, str(r)) if isinstance(r, Exception) else SweepRow(value, r)
+        for value, r in zip(spec.grid, rows)), scenario_digest=scenario_digest(base))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -243,10 +310,7 @@ def optimal_phase(base: Scenario, case: AncillaCase,
 
     def report(phis) -> SkrReport:
         """The branches repeated phase by phase, rated in one pass."""
-        tiled = branch_set(np.tile(branches.betas, (len(phis), 1)),
-                           np.repeat(phis, len(branches)),
-                           np.tile(branches.index, len(phis)))
-        return _rate(tiled, noise, (case,))[case]
+        return total_skr(case, _tiled(branches, phis), noise)
 
     def rate(phi: float) -> float:
         return report([phi]).total_skr
@@ -320,14 +384,14 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
         raise ValueError(f"need 0 < d_min < d_max < inf, got d_min={d_min}, d_max={d_max}")
     if not grid_points >= 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    noise = noise_model(base)  # the same at every distance
-    factors = channel_factors(base)
+    points = _distance_points(base)
 
     def rates(distances) -> list[float]:
-        sets = [_branches(base, channels_at(factors, _distance_scales(base, d)))[0]
-                for d in distances]
-        return ordered_totals(_rate(BranchSet.join(sets), noise, (case,))[case].rates.skr,
-                              map(len, sets))
+        rows = _rate_blocks(distances, _block_points(base), points, (case,))
+        for row in rows:
+            if isinstance(row, Exception):
+                raise row
+        return [row[case].total_skr for row in rows]
 
     grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
             for i in range(grid_points)]

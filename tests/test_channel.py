@@ -273,12 +273,15 @@ def test_channels_at_rescales_each_channel():
     stretched = dataclasses.replace(scenario, multipaths_g=tuple(
         dataclasses.replace(p, path_length=p.path_length * 3.0, delay=p.delay * 3.0)
         for p in scenario.multipaths_g))
-    got = channels_at(channel_factors(scenario), (1.0, 3.0, 1.0))
-    want = build_channels(stretched)
-    for name in ("h_d", "h_g", "h_f"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # one stack per channel over the block of triples; the unit triple
+    # rebuilds the scenario's own channels
+    got = list(channels_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 3.0, 1.0)]))
+    for name, stack in zip(("h_d", "h_g", "h_f"), got):
+        assert stack.shape[0] == 2
+        assert np.array_equal(stack[0], getattr(build_channels(scenario), name))
+        assert np.array_equal(stack[1], getattr(build_channels(stretched), name))
     with pytest.raises(ValueError, match="path_length must be finite"):
-        channels_at(channel_factors(scenario), (1.0, 0.0, 1.0))
+        channels_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
 
 
 def test_build_channels_requires_paths():

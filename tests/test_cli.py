@@ -108,6 +108,8 @@ def test_usage_error_exit_code(capsys):
     assert main(["sweep", "--variable", "distance", "--grid", "bad"]) == 1
     assert main(["sweep", "--variable", "nope", "--grid", "1:2:2"]) == 1
     assert main(["skr", "--cases", "z"]) == 1
+    assert main(["skr", "--cases", "d,d"]) == 1
+    assert main(["sweep", "--variable", "distance", "--grid", "1:2:2", "--cases", "d,f,d"]) == 1
     assert main(["skr", "--set", "unknown_key=3"]) == 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -342,3 +343,76 @@ def test_one_decomposition_per_phase_search_and_evaluation(monkeypatch):
     assert len(calls) == 1
     evaluate_scenario(base)
     assert len(calls) == 2
+
+
+def test_distance_blocks_equal_rebuilt_scenarios():
+    # longer than one block of the rich scenario (8 points): an error row, a
+    # zero-branch row and ordinary rows in the first block, which is rated
+    # again point by point, and ordinary rows in the second
+    base = default_scenario(**RICH)
+    grid = (1e308, 1e4, 120.0, 60.0, 33.0, 15.0, 9.7, 4.0, 2.0, 1.3, 0.7, -1.0)
+    assert experiments._block_points(base) < len(grid)
+    result = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid, base=base))
+    for d, row in zip(grid, result.rows):
+        try:
+            rebuilt = evaluate_scenario(scenario_at_distance(base, d))
+        except (ValueError, ArithmeticError) as exc:
+            assert row.reports is None and row.error == str(exc)
+            continue
+        assert row.error is None
+        for case in AncillaCase:
+            got, want = row.reports[case], rebuilt[case]
+            assert got.total_skr == want.total_skr
+            assert got.total_holevo == want.total_holevo
+            assert got.warnings == want.warnings
+            assert np.array_equal(got.rates.skr, want.rates.skr)
+    assert "phase overflows" in result.rows[0].error
+    assert result.rows[1].reports[AncillaCase.DIRECT].branches == ()
+    assert result.rows[-1].error == "distance must be > 0"
+
+
+def test_phase_sweep_decomposes_once(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    base = default_scenario(d_ab=20.0, **RICH)
+    # folded phases outside [0, 2*pi), two blocks, and a phase with no value
+    grid = tuple(-7.0 + 0.9 * i for i in range(17)) + (math.inf,)
+    result = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE, grid=grid, base=base))
+    assert len(calls) == 1
+    for phi, row in zip(grid[:-1], result.rows):
+        want = evaluate_scenario(dataclasses.replace(
+            base, ris=dataclasses.replace(base.ris, common_phase=phi)))
+        for case in AncillaCase:
+            assert row.reports[case].total_skr == want[case].total_skr
+            assert row.reports[case].total_holevo == want[case].total_holevo
+            assert row.reports[case].warnings == want[case].warnings
+    assert result.rows[-1].error == "common_phase must be finite"
+    nan_row, = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE, grid=(math.nan,),
+                                   base=base)).rows
+    assert nan_row.error == "common_phase must be finite"
+
+
+def test_fractional_counts_are_error_rows():
+    from ris_cvqkd.experiments import scenario_with_antennas
+
+    base = default_scenario()
+    with pytest.raises(ValueError, match="antenna count 1.5 is not a whole number"):
+        scenario_with_antennas(base, 1.5)
+    with pytest.raises(ValueError, match="RIS element count 100.5 is not a whole number"):
+        scenario_with_ris_elements(base, 100.5)
+    assert scenario_with_antennas(base, 4.0).tx.element_count == 4
+    rows = run_sweep(SweepSpec(variable=SweepVariable.ANTENNA_COUNT, grid=(1.5, 2.0, 2.5),
+                               base=base)).rows
+    assert [row.error is None for row in rows] == [False, True, False]
+    rows = run_sweep(SweepSpec(variable=SweepVariable.RIS_ELEMENTS, grid=(100.0, 100.5),
+                               base=base)).rows
+    assert rows[0].error is None
+    assert rows[1].error == "RIS element count 100.5 is not a whole number"
+
+
+def test_sweep_spec_rejects_empty_and_repeated_cases():
+    base = default_scenario()
+    with pytest.raises(ValueError, match="cases must be non-empty and distinct"):
+        SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=(1.0,), base=base, cases=())
+    with pytest.raises(ValueError, match="cases must be non-empty and distinct"):
+        SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=(1.0,), base=base,
+                  cases=(AncillaCase.DIRECT, AncillaCase.RIS_BOB, AncillaCase.DIRECT))
