@@ -50,6 +50,19 @@ def test_sweep_matches_golden_fixture(tmp_path):
     assert out.read_bytes() == golden
 
 
+@pytest.mark.parametrize("fixture, argv", [
+    ("stdout_optimize_phase.txt", ["optimize-phase", "--set", "d_ab=50", "--cases", "d,g,f"]),
+    ("stdout_max_distance.txt", ["max-distance", "--cases", "d,g,f"]),
+    ("stdout_max_distance_eve2.txt",
+     ["max-distance", "--cases", "d,g,f", "--set", "eve_variance_snu=2"]),
+    ("stdout_phase_sweep.txt", ["sweep", "--variable", "phase", "--grid", "0:6:50"]),
+])
+def test_stdout_matches_fixture(fixture, argv, capsysbinary):
+    # the searches and the phase sweep print every digit they compute
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == (DATA / fixture).read_bytes()
+
+
 def test_emit_csv_header_only_for_empty_result():
     result = SweepResult(variable=SweepVariable.DISTANCE_AB,
                          cases=(cli.AncillaCase.DIRECT,), rows=(),
