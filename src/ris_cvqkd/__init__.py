@@ -2,7 +2,7 @@
 
 from .channel import (ArrayGeometry, ChannelFactors, ChannelTriple, PathSpec,
                       RisGeometry, Scenario, array_response, build_channels,
-                      channel_factors, channels_at, line_of_sight_path,
+                      channel_factors, cores_at, line_of_sight_path,
                       path_loss, ris_response)
 from .config import default_scenario, load_scenario
 from .decomposition import (BranchParams, BranchSet, SvdBundle, branch_params,

@@ -8,7 +8,6 @@ free-space-plus-absorption link budget.  All functions are pure.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,44 +220,42 @@ def path_loss(path: PathSpec, scenario: Scenario,
 class ChannelFactors:
     """What a distance change leaves alone: for the direct, transmitter-to-RIS
     and RIS-to-receiver channel in turn, its base paths, its endpoint gains,
-    its arrival rows and its conjugated departure rows (one row per path);
+    its arrival rows and its conjugated departure rows (one row per path),
+    and the R factors of reduced QRs of the transposes of those rows;
     ``scenario`` supplies the link budget."""
 
     scenario: Scenario
-    channels: tuple[tuple[tuple[PathSpec, ...], tuple[float, float],
-                          np.ndarray, np.ndarray], ...]
+    channels: tuple[tuple[tuple[PathSpec, ...], tuple[float, float], np.ndarray,
+                          np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def channel_factors(scenario: Scenario) -> ChannelFactors:
     """The steering rows of every path, one ``np.exp`` over paths x elements
-    per array side.  The RIS side's endpoint gain is its element count."""
+    per array side, and their R factors.  The RIS side's endpoint gain is its
+    element count."""
     lam = scenario.wavelength
     tx, rx, ris = scenario.tx, scenario.rx, scenario.ris
     n_tx, n_rx = tx.element_count, rx.element_count
     g_tx, g_rx, k = n_tx * tx.gain_linear, n_rx * rx.gain_linear, float(ris.element_count)
     d, g, f = scenario.multipaths_d, scenario.multipaths_g, scenario.multipaths_f
-    return ChannelFactors(scenario, (
+    rows = (
         (d, (g_tx, g_rx), array_response(n_rx, [p.aoa for p in d], rx.element_spacing, lam),
          array_response(n_tx, [p.aod for p in d], tx.element_spacing, lam).conj()),
         (g, (g_tx, k), ris_response(ris, [p.elevation for p in g], [p.aoa for p in g], lam),
          array_response(n_tx, [p.aod for p in g], tx.element_spacing, lam).conj()),
         (f, (k, g_rx), array_response(n_rx, [p.aoa for p in f], rx.element_spacing, lam),
          ris_response(ris, [p.elevation for p in f], [p.aod for p in f], lam).conj()),
-    ))
+    )
+    return ChannelFactors(scenario, tuple(
+        (paths, gains, arrival, departure, np.linalg.qr(arrival.T, mode="r"),
+         np.linalg.qr(departure.T, mode="r")) for paths, gains, arrival, departure in rows))
 
 
-def channels_at(factors: ChannelFactors, scales) -> Iterator[np.ndarray]:
-    """The direct, transmitter-to-RIS and RIS-to-receiver channels in turn,
-    each as a (P, n, m) stack of its matrices at the P triples in ``scales``;
-    at triple j, the i-th channel's path lengths and delays are scaled by
-    ``scales[j][i]``.
-
-    Each path contributes sqrt(path loss) * exp(j*2*pi*f_c*delay) times the
-    outer product of its arrival row and conjugated departure row, added in
-    path order: a single matmul over paths would round differently.  All
-    path gains and phases are checked first; each stack is built only when
-    the iterator reaches it, so a caller can hold one at a time.
-    """
+def _path_gains(factors: ChannelFactors, scales) -> list[np.ndarray]:
+    """Each channel's (L, P) complex path gains sqrt(path loss) *
+    exp(j*2*pi*f_c*delay) at the P triples in ``scales``; at triple j, the
+    i-th channel's path lengths and delays are scaled by ``scales[j][i]``.
+    Every length, phase and amplitude is checked before a gain is formed."""
     scenario = factors.scenario
     turn = 2.0 * math.pi * scenario.carrier_frequency
     channels = [(paths, np.array(column)) for (paths, *_), column
@@ -273,32 +270,51 @@ def channels_at(factors: ChannelFactors, scales) -> Iterator[np.ndarray]:
             raise ValueError(f"multipaths_{name} must contain at least one path")
         if not ((length > 0) & (length < math.inf)).all():
             raise ValueError("path_length must be finite and > 0")
-    coefficients = []  # (L, P) per channel: each path's complex gain at each point
+    amplitudes = []
     for (paths, gains, *_), length, delay, phase in zip(factors.channels, lengths, delays,
                                                         phases):
-        amps = np.sqrt([[path_loss(p, scenario, gains, d) for d in row]
-                        for p, row in zip(paths, length.tolist())])
+        amplitudes.append(np.sqrt([[path_loss(p, scenario, gains, d) for d in row]
+                                   for p, row in zip(paths, length.tolist())]))
         if not np.isfinite(phase).all():
             raise ValueError(f"path phase overflows at delay {delay[~np.isfinite(phase)][0]:g} s")
-        coefficients.append(amps * np.exp(1j * phase))
-    return (_stack(name, c, arrival, departure) for name, c, (_, _, arrival, departure)
-            in zip("dgf", coefficients, factors.channels))
+    for name, amplitude in zip("dgf", amplitudes):
+        if not np.isfinite(amplitude).all():  # an overflowing path loss
+            raise ValueError(f"h_{name} contains non-finite entries")
+    return [amplitude * np.exp(1j * phase) for amplitude, phase in zip(amplitudes, phases)]
 
 
-def _stack(name: str, coefficients, arrival: np.ndarray, departure: np.ndarray) -> np.ndarray:
-    stack = np.zeros((coefficients.shape[1], arrival.shape[1], departure.shape[1]), dtype=complex)
-    term = np.empty(stack.shape[1:], dtype=complex)  # one matrix: a block-sized one costs memory
-    # arrival columns times departure rows: np.outer's products, less overhead
-    for c_l, a_l, b_l in zip(coefficients, arrival[:, :, None], departure):
-        outer = a_l * b_l
-        for matrix, c in zip(stack, c_l):
-            matrix += np.multiply(c, outer, out=term)
-    if not np.isfinite(stack).all():
-        raise ValueError(f"h_{name} contains non-finite entries")
-    return stack
+def cores_at(factors: ChannelFactors, scales) -> list[np.ndarray]:
+    """The path-space cores of the direct, transmitter-to-RIS and
+    RIS-to-receiver channels at the P triples in ``scales`` (as for
+    ``_path_gains``), each a (P, min(n, L), min(m, L)) stack.
+
+    With arrival rows A, conjugated departure rows B and path gains c, a
+    channel is H = A^T diag(c) B.  The reduced QRs A^T = Q_a R_a and
+    B^T = Q_b R_b have orthonormal columns, so H has the nonzero singular
+    values of its core R_a diag(c) R_b^T.
+    """
+    cores = []
+    for name, c, (*_, r_arrival, r_departure) in zip("dgf", _path_gains(factors, scales),
+                                                       factors.channels):
+        core = (r_arrival * c.T[:, None, :]) @ r_departure.T
+        if not np.isfinite(core).all():
+            raise ValueError(f"h_{name} contains non-finite entries")
+        cores.append(core)
+    return cores
 
 
 def build_channels(scenario: Scenario) -> ChannelTriple:
-    """Assemble the three channel matrices as sums over their paths."""
-    stacks = channels_at(channel_factors(scenario), [(1.0, 1.0, 1.0)])
-    return ChannelTriple(*(stack[0] for stack in stacks))
+    """Assemble the three channel matrices as sums over their paths: each
+    path adds its gain times the outer product of its arrival row and
+    conjugated departure row, in path order (a single matmul over paths
+    would round differently)."""
+    factors = channel_factors(scenario)
+    matrices = []
+    for c, (_, _, arrival, departure, *_) in zip(_path_gains(factors, [(1.0, 1.0, 1.0)]),
+                                                 factors.channels):
+        h = np.zeros((arrival.shape[1], departure.shape[1]), dtype=complex)
+        term = np.empty_like(h)
+        for c_l, a_l, b_l in zip(c[:, 0], arrival[:, :, None], departure):
+            h += np.multiply(c_l, a_l * b_l, out=term)
+        matrices.append(h)
+    return ChannelTriple(*matrices)

@@ -136,20 +136,22 @@ def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
     return branch_set([(float(beta_d), float(beta_g), float(beta_f))], float(phi), index)[0]
 
 
-def _decompose_one(h: np.ndarray) -> SvdBundle:
+def singular_values(stack) -> list[SvdBundle]:
+    """One bundle per matrix of a (P, n, m) stack: its squared singular
+    values above ``RANK_CUTOFF`` times its largest, sorted descending."""
     # the reduced SVD, not compute_uv=False: the values-only LAPACK driver
     # moves singular values by a few ulp of the largest one
     try:
-        _, sv, _ = np.linalg.svd(np.asarray(h, dtype=complex), full_matrices=False)
+        _, sv, _ = np.linalg.svd(np.asarray(stack, dtype=complex), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
-    kept = sv > RANK_CUTOFF * sv.max(initial=0.0)  # a prefix: sv is sorted descending
-    return SvdBundle(betas=np.square(sv[kept]))
+    kept = sv > RANK_CUTOFF * sv.max(axis=-1, keepdims=True, initial=0.0)  # prefixes
+    return [SvdBundle(betas=np.square(s[k])) for s, k in zip(sv, kept)]
 
 
 def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
     """Singular values of all three channels, sorted descending."""
-    return _decompose_one(t.h_d), _decompose_one(t.h_g), _decompose_one(t.h_f)
+    return tuple(singular_values(h[None])[0] for h in (t.h_d, t.h_g, t.h_f))
 
 
 def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],

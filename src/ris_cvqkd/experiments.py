@@ -21,10 +21,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import PathSpec, Scenario, build_channels, channel_factors, channels_at
+from .channel import (ChannelFactors, PathSpec, Scenario, build_channels, channel_factors,
+                      cores_at)
 from .config import GEOMETRY_RATIOS
-from .decomposition import (BranchSet, _decompose_one, branch_params, branch_set,
-                            decompose)
+from .decomposition import BranchSet, branch_params, branch_set, decompose, singular_values
 from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, Warnings,
                   ordered_totals, total_skr)
 
@@ -32,6 +32,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # complex entries of one channel's stack over a block of grid points: 8 points
 # of a 32 x 100 channel, one point of a channel above 13,000 entries
 _BLOCK_ENTRIES = 26_000
+_UNIT = [(1.0, 1.0, 1.0)]  # the scale triple of a scenario's own channels
 
 
 class SweepVariable(enum.Enum):
@@ -83,9 +84,15 @@ def noise_model(scenario: Scenario) -> NoiseModel:
                                 scenario.modulation_variance, scenario.eve_variance)
 
 
-def _branches(scenario: Scenario) -> tuple[BranchSet, int]:
-    """Channels -> decomposition -> paired branches, with the clamp count."""
-    return branch_params(decompose(build_channels(scenario)), scenario.ris)
+def _points(factors: ChannelFactors, scales):
+    """The paired branches of the factors' channels at each scale triple,
+    joined in order, with each point's branch count and clamp count and the
+    noise model.  Each channel's singular values come from its path-space
+    cores, one stack per channel and block."""
+    ris = factors.scenario.ris
+    sets = [branch_params(b, ris) for b in zip(*map(singular_values, cores_at(factors, scales)))]
+    return (BranchSet.join([b for b, _ in sets]), [len(b) for b, _ in sets],
+            [clamped for _, clamped in sets], noise_model(factors.scenario))
 
 
 def _tiled(branches: BranchSet, phis) -> BranchSet:
@@ -97,8 +104,7 @@ def _tiled(branches: BranchSet, phis) -> BranchSet:
 def evaluate_scenario(scenario: Scenario,
                       cases=tuple(AncillaCase)) -> dict[AncillaCase, SkrReport]:
     """Full pipeline: channels -> branch decomposition -> per-case key rate."""
-    branches, clamped = _branches(scenario)
-    noise = noise_model(scenario)
+    branches, _, (clamped,), noise = _points(channel_factors(scenario), _UNIT)
     return {case: total_skr(case, branches, noise, clamped) for case in cases}
 
 
@@ -232,49 +238,40 @@ def _rate_blocks(values, size: int, points, cases, ris_tap_closed: bool = False)
     return out
 
 
-def _distance_points(base: Scenario):
-    """``points`` of distances: the base factors rescaled, one channel stack at
-    a time, dropped once its singular values are taken (``map`` keeps none)."""
-    factors = channel_factors(base)
-
-    def points(distances):
-        stacks = channels_at(factors, [_distance_scales(base, d) for d in distances])
-        bundles = zip(*map(lambda stack: [_decompose_one(h) for h in stack], stacks))
-        sets = [branch_params(b, base.ris) for b in bundles]
-        return (BranchSet.join([b for b, _ in sets]), [len(b) for b, _ in sets],
-                [clamped for _, clamped in sets], noise_model(base))
-
-    return points
-
-
 def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
     """Evaluate the pipeline on every grid point, in grid order; with
     ``ris_tap_closed`` every branch has beta_f = 0 (the no-RIS equivalent).
 
     Distance and phase grids go in blocks of ``_block_points`` points with no
-    ``Scenario`` per point (the phase leaves the channels alone, so they are
-    decomposed once); other variables rebuild the scenario at every point.
+    ``Scenario`` per point, decomposed through their path-space cores (the
+    phase leaves the channels alone, so they are decomposed once); other
+    variables rebuild the scenario and its dense channels at every point.
     A failing point's error is recorded on its row.
     """
     base = spec.base
     if spec.variable is SweepVariable.DISTANCE_AB:
-        size, points = _block_points(base), _distance_points(base)
+        size, factors = _block_points(base), channel_factors(base)
+
+        def points(distances):
+            return _points(factors, [_distance_scales(base, d) for d in distances])
     elif spec.variable is SweepVariable.RIS_PHASE:
         # a failure is not cached: every row then carries the base's own error
-        size, decomposed = _block_points(base), functools.cache(lambda: _branches(base))
+        size = _block_points(base)
+        decomposed = functools.cache(lambda: _points(channel_factors(base), _UNIT))
 
         def points(phis):  # each phase folded as RisGeometry folds it
             folded = [dataclasses.replace(base.ris, common_phase=phi).common_phase
                       for phi in phis]
-            branches, clamped = decomposed()
-            return (_tiled(branches, folded), [len(branches)] * len(phis),
-                    [clamped] * len(phis), noise_model(base))
+            branches, (count,), (clamped,), noise = decomposed()
+            return _tiled(branches, folded), [count] * len(phis), [clamped] * len(phis), noise
     else:
         size, transform = 1, _SCENARIO_TRANSFORMS[spec.variable]
 
         def points(values):
+            # the one dense decomposition left (see ROADMAP item 1): these
+            # variables change the steering, so every point has new factors
             scenario = transform(base, values[0])
-            branches, clamped = _branches(scenario)
+            branches, clamped = branch_params(decompose(build_channels(scenario)), scenario.ris)
             return branches, [len(branches)], [clamped], noise_model(scenario)
     rows = _rate_blocks(spec.grid, size, points, spec.cases, ris_tap_closed)
     return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(
@@ -305,8 +302,7 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
-    branches, _ = _branches(base)
-    noise = noise_model(base)
+    branches, _, _, noise = _points(channel_factors(base), _UNIT)
 
     def report(phis) -> SkrReport:
         """The branches repeated phase by phase, rated in one pass."""
@@ -384,7 +380,10 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
         raise ValueError(f"need 0 < d_min < d_max < inf, got d_min={d_min}, d_max={d_max}")
     if not grid_points >= 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    points = _distance_points(base)
+    factors = channel_factors(base)
+
+    def points(distances):
+        return _points(factors, [_distance_scales(base, d) for d in distances])
 
     def rates(distances) -> list[float]:
         rows = _rate_blocks(distances, _block_points(base), points, (case,))

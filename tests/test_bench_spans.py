@@ -24,7 +24,11 @@ def test_tracer_reads_pipeline_sizes(monkeypatch):
     tracer = spans.Tracer()
     try:
         tracer.install()
-        experiments.evaluate_scenario(default_scenario())
+        # the frequency, antenna and RIS-size sweeps still build and
+        # decompose dense channels
+        experiments.run_sweep(experiments.SweepSpec(
+            variable=experiments.SweepVariable.ANTENNA_COUNT, grid=(32,),
+            base=default_scenario()))
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(1)

@@ -6,7 +6,7 @@ import pytest
 
 from ris_cvqkd.channel import (ArrayGeometry, ChannelTriple, PathSpec,
                                RisGeometry, array_response, build_channels,
-                               channel_factors, channels_at, line_of_sight_path,
+                               channel_factors, cores_at, line_of_sight_path,
                                path_loss, ris_response)
 from ris_cvqkd.config import default_scenario
 
@@ -265,7 +265,7 @@ def test_build_channels_path_linearity():
                                rtol=0, atol=1e-18)
 
 
-def test_channels_at_rescales_each_channel():
+def test_cores_at_rescales_each_channel():
     # stretching the transmitter-to-RIS paths 3x equals rebuilding them 3x
     # longer, with the other two channels untouched
     import dataclasses
@@ -274,14 +274,16 @@ def test_channels_at_rescales_each_channel():
         dataclasses.replace(p, path_length=p.path_length * 3.0, delay=p.delay * 3.0)
         for p in scenario.multipaths_g))
     # one stack per channel over the block of triples; the unit triple
-    # rebuilds the scenario's own channels
-    got = list(channels_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 3.0, 1.0)]))
-    for name, stack in zip(("h_d", "h_g", "h_f"), got):
-        assert stack.shape[0] == 2
-        assert np.array_equal(stack[0], getattr(build_channels(scenario), name))
-        assert np.array_equal(stack[1], getattr(build_channels(stretched), name))
+    # gives the scenario's own cores
+    got = cores_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 3.0, 1.0)])
+    own = cores_at(channel_factors(scenario), [(1.0, 1.0, 1.0)])
+    rebuilt = cores_at(channel_factors(stretched), [(1.0, 1.0, 1.0)])
+    assert [stack.shape for stack in got] == [(2, 1, 1), (2, 3, 3), (2, 1, 1)]
+    for stack, want_own, want_rebuilt in zip(got, own, rebuilt):
+        assert np.array_equal(stack[0], want_own[0])
+        assert np.array_equal(stack[1], want_rebuilt[0])
     with pytest.raises(ValueError, match="path_length must be finite"):
-        channels_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
+        cores_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
 
 
 def test_build_channels_requires_paths():
