@@ -1,4 +1,4 @@
-"""The benchmark's own output checks, run on two rounds of two workloads.
+"""The benchmark's own output checks, run on two rounds of three workloads.
 
 ``bench/workloads.py`` checks each workload's outputs against independent
 reference numbers once its timed loop ends.  Running those checks here
@@ -12,13 +12,12 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("name", ["rich-sweep", "phase-and-reach"])
+@pytest.mark.parametrize("name", ["rich-sweep", "phase-and-reach", "verify"])
 def test_workload_checks_pass(name, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    workload = {"rich-sweep": workloads.RichSweep,
-                "phase-and-reach": workloads.PhaseAndReach}[name](1, tmp_path)
+    workload = workloads.WORKLOADS[name](1, tmp_path)
     for _ in range(2):
         workload.record(workload.round())
     failed, notes = workload.check()

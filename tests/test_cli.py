@@ -63,6 +63,15 @@ def test_stdout_matches_fixture(fixture, argv, capsysbinary):
     assert capsysbinary.readouterr().out == (DATA / fixture).read_bytes()
 
 
+def test_overflowing_path_loss_is_a_quiet_error_row(capsys):
+    # at 1e-157 m the path loss overflows to infinity: the row says so, and
+    # no numpy warning reaches stderr
+    assert main(["sweep", "--variable", "distance", "--grid", "1e-157:1:3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "1e-157: error: h_d contains non-finite entries"
+    assert len(out.splitlines()) == 3 and err == ""
+
+
 def test_emit_csv_header_only_for_empty_result():
     result = SweepResult(variable=SweepVariable.DISTANCE_AB,
                          cases=(cli.AncillaCase.DIRECT,), rows=(),
