@@ -303,18 +303,20 @@ def cores_at(factors: ChannelFactors, scales) -> list[np.ndarray]:
     return cores
 
 
+def _summed(gains, arrival: np.ndarray, departure: np.ndarray) -> np.ndarray:
+    h = np.zeros((arrival.shape[1], departure.shape[1]), dtype=complex)
+    term = np.empty_like(h)  # freed on return, before the next channel's matrix
+    for c_l, a_l, b_l in zip(gains, arrival[:, :, None], departure):
+        h += np.multiply(c_l, a_l * b_l, out=term)
+    return h
+
+
 def build_channels(scenario: Scenario) -> ChannelTriple:
     """Assemble the three channel matrices as sums over their paths: each
     path adds its gain times the outer product of its arrival row and
     conjugated departure row, in path order (a single matmul over paths
     would round differently)."""
     factors = channel_factors(scenario)
-    matrices = []
-    for c, (_, _, arrival, departure, *_) in zip(_path_gains(factors, [(1.0, 1.0, 1.0)]),
-                                                 factors.channels):
-        h = np.zeros((arrival.shape[1], departure.shape[1]), dtype=complex)
-        term = np.empty_like(h)
-        for c_l, a_l, b_l in zip(c[:, 0], arrival[:, :, None], departure):
-            h += np.multiply(c_l, a_l * b_l, out=term)
-        matrices.append(h)
-    return ChannelTriple(*matrices)
+    gains = _path_gains(factors, [(1.0, 1.0, 1.0)])
+    return ChannelTriple(*(_summed(c[:, 0], arrival, departure)
+                           for c, (_, _, arrival, departure, *_) in zip(gains, factors.channels)))

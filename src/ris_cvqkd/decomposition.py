@@ -145,7 +145,7 @@ def singular_values(stack) -> list[SvdBundle]:
         _, sv, _ = np.linalg.svd(np.asarray(stack, dtype=complex), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
-    kept = sv > RANK_CUTOFF * sv.max(axis=-1, keepdims=True, initial=0.0)  # prefixes
+    kept = sv > RANK_CUTOFF * sv.max(axis=-1, keepdims=True, initial=0.0)  # sorted: prefixes
     return [SvdBundle(betas=np.square(s[k])) for s, k in zip(sv, kept)]
 
 

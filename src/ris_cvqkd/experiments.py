@@ -29,8 +29,8 @@ from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, War
                   ordered_totals, total_skr)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# complex entries of one channel's stack over a block of grid points: 8 points
-# of a 32 x 100 channel, one point of a channel above 13,000 entries
+# a block of grid points is sized by the dense entries of one channel's stack,
+# not by its cores: 8 points of a 32 x 100 channel, one point above 13,000
 _BLOCK_ENTRIES = 26_000
 _UNIT = [(1.0, 1.0, 1.0)]  # the scale triple of a scenario's own channels
 
@@ -193,8 +193,8 @@ def scenario_digest(scenario: Scenario) -> str:
 
 
 def _block_points(scenario: Scenario) -> int:
-    """Grid points per block: the stack of the largest channel stays within
-    ``_BLOCK_ENTRIES`` entries, with one point at least."""
+    """Grid points per block: the dense stack of the largest channel would
+    stay within ``_BLOCK_ENTRIES`` entries, with one point at least."""
     n_tx, n_rx = scenario.tx.element_count, scenario.rx.element_count
     k = scenario.ris.element_count
     return max(1, _BLOCK_ENTRIES // max(n_rx * n_tx, k * n_tx, n_rx * k))
@@ -268,8 +268,9 @@ def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
         size, transform = 1, _SCENARIO_TRANSFORMS[spec.variable]
 
         def points(values):
-            # the one dense decomposition left (see ROADMAP item 1): these
-            # variables change the steering, so every point has new factors
+            # the one dense decomposition left: these variables change the
+            # steering, so every point has new factors; cores would serve them
+            # once the benchmark bounds the outputs it keeps (ROADMAP item 1)
             scenario = transform(base, values[0])
             branches, clamped = branch_params(decompose(build_channels(scenario)), scenario.ris)
             return branches, [len(branches)], [clamped], noise_model(scenario)
