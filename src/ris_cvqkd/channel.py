@@ -208,7 +208,10 @@ def path_loss(path: PathSpec, scenario: Scenario,
         raise ValueError("endpoint gains must be > 0")
     lam = scenario.wavelength
     d = path.path_length if length is None else length
-    spreading = (lam / (4.0 * math.pi * d)) ** 2
+    try:
+        spreading = (lam / (4.0 * math.pi * d)) ** 2
+    except OverflowError:  # d below about 1.8e-160 m at 10 THz: reported as non-finite
+        spreading = math.inf
     absorption = 10.0 ** (-0.1 * scenario.absorption_db_per_km * (d / 1000.0))
     delta = spreading * g_tx * g_rx * absorption
     if not path.is_los:

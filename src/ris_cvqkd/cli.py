@@ -192,6 +192,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     results = oracle.run_verification(args.draws, seed=args.seed)
     if args.draws == 0:
         print("warning: no checks run (zero draws)")

@@ -291,6 +291,8 @@ def run_verification(draws: int, seed: int = 42) -> list[CheckResult]:
     the code that production runs; the oracle side (joint covariances,
     stored pairs, Schur complements and one eigensolve) runs on stacks.
     """
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
     tol = 1e-8
     rng = np.random.default_rng(seed)
     cases = tuple(AncillaCase)

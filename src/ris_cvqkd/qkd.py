@@ -407,6 +407,7 @@ class SkrReport:
         return sum(self.rates.holevo.tolist(), 0.0)
 
 
+@np.errstate(over="raise", invalid="raise")  # FloatingPointError, not a warning
 def total_skr(case: AncillaCase, branches, n: NoiseModel,
               beta_clamp_count: int = 0,
               model: AttackModel = AttackModel.PAPER) -> SkrReport:

@@ -64,12 +64,21 @@ def test_stdout_matches_fixture(fixture, argv, capsysbinary):
 
 
 def test_overflowing_path_loss_is_a_quiet_error_row(capsys):
-    # at 1e-157 m the path loss overflows to infinity: the row says so, and
-    # no numpy warning reaches stderr
-    assert main(["sweep", "--variable", "distance", "--grid", "1e-157:1:3"]) == 0
+    # at 1e-157 m the path loss overflows to infinity, and at 1e-300 m its
+    # spreading term overflows Python's ** already: each row says so, and no
+    # numpy warning or errno tuple reaches the output
+    for start in ("1e-157", "1e-300"):
+        assert main(["sweep", "--variable", "distance", "--grid", f"{start}:1:3"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == f"{start}: error: h_d contains non-finite entries"
+        assert len(out.splitlines()) == 3 and err == ""
+
+
+@pytest.mark.parametrize("override", ["t_e=1e200", "v_s=1e160", "v_e=1e300"])
+def test_extreme_noise_is_a_numeric_error(override, capsys):
+    assert main(["skr", "--set", override]) == cli.EXIT_NUMERIC
     out, err = capsys.readouterr()
-    assert out.splitlines()[0] == "1e-157: error: h_d contains non-finite entries"
-    assert len(out.splitlines()) == 3 and err == ""
+    assert out == "" and err.startswith("numeric error: overflow encountered")
 
 
 def test_emit_csv_header_only_for_empty_result():
@@ -187,6 +196,16 @@ def test_numeric_error_exit_code(monkeypatch, capsys):
 def test_verify_zero_draws(capsys):
     assert main(["verify", "--draws", "0"]) == 0
     assert "no checks run" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--draws", "-5"], "error: draws must be >= 0, got -5"),
+    (["--seed", "-1"], "usage error: --seed must be >= 0, got -1"),
+], ids=["draws", "seed"])
+def test_verify_rejects_negative_draws_and_seeds(flags, message, capsys):
+    assert main(["verify", *flags]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
 
 
 def test_verify_small_run(capsys):

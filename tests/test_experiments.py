@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_cvqkd import experiments
 from ris_cvqkd.channel import channel_factors
@@ -394,6 +396,20 @@ def test_blocks_are_sized_by_cores(monkeypatch):
     calls = _count_rated_branches(monkeypatch)
     max_secure_distance(default_scenario(), AncillaCase.RIS_BOB)
     assert calls[0] == 64 and set(calls[1:]) == {1}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(t_e=st.floats(1e-300, 1e300), v_s=st.floats(1e-300, 1e300),
+       v_e=st.floats(1.0, 1e300), f_c=st.floats(1e-290, 1e300))
+def test_extreme_noise_gives_floats_or_an_error(t_e, v_s, v_e, f_c):
+    # no numpy warning either: the suite turns a RuntimeWarning into an error
+    scenario = default_scenario(t_e=t_e, v_s=v_s, v_e=v_e, f_c=f_c)
+    try:
+        reports = evaluate_scenario(scenario)
+    except (ValueError, ArithmeticError):
+        return
+    assert all(type(r.total_skr) is float and math.isfinite(r.total_skr)
+               for r in reports.values())
 
 
 def test_phase_sweep_decomposes_once(monkeypatch):
