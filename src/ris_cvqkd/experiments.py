@@ -298,10 +298,10 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """Common phase maximizing the key rate, searched over [0, pi].
 
     The rate is even and 2*pi-periodic in the phase, so [0, pi] suffices.
-    A grid scan at the requested resolution, rated in one pass, brackets
-    the maximizer; a golden-section refinement follows.  The channel
-    matrices do not depend on the common phase, so one decomposition serves
-    every evaluation.
+    A grid scan at the requested resolution, rated in passes of at most
+    ``_BLOCK_ENTRIES`` branches, brackets the maximizer; a golden-section
+    refinement follows.  The channel matrices do not depend on the common
+    phase, so one decomposition serves every evaluation.
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
@@ -316,7 +316,10 @@ def optimal_phase(base: Scenario, case: AncillaCase,
 
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
-    values = ordered_totals(report(grid).rates.skr, [len(branches)] * points)
+    values, step = [], max(1, _BLOCK_ENTRIES // max(1, len(branches)))
+    for start in range(0, points, step):  # at most _BLOCK_ENTRIES tiled branches a call
+        phis = grid[start:start + step]
+        values += ordered_totals(report(phis).rates.skr, [len(branches)] * len(phis))
     # rightmost maximizer: the rate can plateau exactly (clamped Holevo), and
     # the plateau edge next to the falling branch is the meaningful optimum
     best = max(range(points), key=lambda i: (values[i], i))

@@ -398,6 +398,18 @@ def test_blocks_are_sized_by_cores(monkeypatch):
     assert calls[0] == 64 and set(calls[1:]) == {1}
 
 
+def test_phase_search_rates_its_grid_within_the_budget(monkeypatch):
+    calls = _count_rated_branches(monkeypatch)
+    optimal_phase(default_scenario(), AncillaCase.DIRECT)
+    assert calls[0] == 257 and set(calls[1:]) == {1}  # the default grid: one call
+    base = default_scenario(d_ab=20.0, **RICH)
+    want = optimal_phase(base, AncillaCase.RIS_BOB, resolution=math.pi / 64)
+    calls.clear()
+    monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 100)
+    assert optimal_phase(base, AncillaCase.RIS_BOB, resolution=math.pi / 64) == want
+    assert max(calls) <= 100 < sum(calls)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(t_e=st.floats(1e-300, 1e300), v_s=st.floats(1e-300, 1e300),
        v_e=st.floats(1.0, 1e300), f_c=st.floats(1e-290, 1e300))
