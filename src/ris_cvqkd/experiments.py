@@ -317,7 +317,7 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
     values, step = [], max(1, _BLOCK_ENTRIES // max(1, len(branches)))
-    for start in range(0, points, step):  # at most _BLOCK_ENTRIES tiled branches a call
+    for start in range(0, points, step):
         phis = grid[start:start + step]
         values += ordered_totals(report(phis).rates.skr, [len(branches)] * len(phis))
     # rightmost maximizer: the rate can plateau exactly (clamped Holevo), and
