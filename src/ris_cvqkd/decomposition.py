@@ -4,12 +4,13 @@ The singular values of each channel matrix give its per-branch power
 transmissivities (their squares); the singular vectors are never needed.
 Branch i pairs the i-th strongest singular value of each of the three
 channels; the RIS common phase and the derived complex coefficients of the
-reflected path are attached per branch.  The branches of a scenario travel
-as one ``BranchSet`` of arrays; ``BranchParams`` is one branch of it.
+reflected path are attached per branch.  One type, ``BranchSet``, carries
+branches: its fields are scalars for one branch and arrays for many.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,9 +27,10 @@ class SvdBundle:
     betas: np.ndarray  # squared singular values above the cutoff; rank = len(betas)
 
 
-@dataclass(frozen=True)
-class BranchParams:
-    """Scalar model of one parallel branch.
+@dataclass(frozen=True, eq=False)
+class BranchSet:
+    """Parallel branches: each field is a Python scalar for one branch, or an
+    array with one entry per branch in branch order (not to be changed).
 
     ``alpha`` and ``gamma`` are the signal and probe coefficients of the
     reflected path at the receiver; ``beta_f_tilde`` is the probe coefficient
@@ -43,58 +45,32 @@ class BranchParams:
     gamma: complex
     beta_f_tilde: complex
     branch_index: int = 1
+    _DTYPES = (np.float64,) * 4 + (np.complex128,) * 3 + (np.int64,)  # of the fields
 
-
-@dataclass(frozen=True, eq=False)
-class BranchSet:
-    """Parallel branches as arrays, one entry per branch in branch order.
-
-    ``betas`` holds the (d, g, f) transmissivities as an (r, 3) array; the
-    other fields hold the common phase, the derived coefficients of
-    ``BranchParams`` and the branch numbers as length-r arrays.  The arrays
-    are not to be changed after construction.
-    """
-
-    betas: np.ndarray
-    phi: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    beta_f_tilde: np.ndarray
-    index: np.ndarray
-
-    beta_d = property(lambda self: self.betas[:, 0])
-    beta_g = property(lambda self: self.betas[:, 1])
-    beta_f = property(lambda self: self.betas[:, 2])
+    @functools.cached_property
+    def betas(self) -> np.ndarray:
+        """The (d, g, f) transmissivities as an (r, 3) array."""
+        return np.stack([self.beta_d, self.beta_g, self.beta_f], axis=1)
 
     def __len__(self) -> int:
-        return len(self.betas)
+        return len(self.beta_d)
 
-    def __getitem__(self, i: int) -> BranchParams:
-        beta_d, beta_g, beta_f = self.betas[i].tolist()
-        return BranchParams(beta_d=beta_d, beta_g=beta_g, beta_f=beta_f,
-                            phi=float(self.phi[i]), alpha=complex(self.alpha[i]),
-                            gamma=complex(self.gamma[i]),
-                            beta_f_tilde=complex(self.beta_f_tilde[i]),
-                            branch_index=int(self.index[i]))
+    def __getitem__(self, i: int) -> BranchSet:
+        return BranchSet(*(getattr(self, f.name)[i].item() for f in fields(self)))
 
     @classmethod
-    def of(cls, branches) -> "BranchSet":
-        """The given branches as a set, their coefficients taken as they are."""
-        if isinstance(branches, cls):
-            return branches
-        columns = [[b.beta_d, b.beta_g, b.beta_f, b.phi, b.alpha, b.gamma,
-                    b.beta_f_tilde, b.branch_index] for b in branches]
-        d, g, f, phi, alpha, gamma, tilde, index = zip(*columns) if columns else [()] * 8
-        return cls(betas=np.array([d, g, f], dtype=float).T, phi=np.array(phi, dtype=float),
-                   alpha=np.array(alpha, dtype=complex), gamma=np.array(gamma, dtype=complex),
-                   beta_f_tilde=np.array(tilde, dtype=complex),
-                   index=np.array(index, dtype=np.int64))
+    def of(cls, branches) -> BranchSet:
+        """A set, or a sequence of sets of one branch or many, as one set of
+        arrays in order; an array set given alone is returned as it is."""
+        sets = [branches] if isinstance(branches, cls) else list(branches)
+        if len(sets) == 1 and np.ndim(sets[0].beta_d):
+            return sets[0]
+        return cls(*(np.concatenate([np.atleast_1d(getattr(s, f.name)) for s in sets]
+                                    or [np.empty(0, dtype)], dtype=dtype)
+                     for f, dtype in zip(fields(cls), cls._DTYPES)))
 
-    @classmethod
-    def join(cls, sets) -> "BranchSet":
-        """Several branch sets as one, in order."""
-        return cls(*(np.concatenate([getattr(s, f.name) for s in sets])
-                     for f in fields(cls)))
+
+BranchParams = BranchSet  # bench/reference.py builds its one-branch records under this name
 
 
 def _complex(re, im) -> np.ndarray:
@@ -103,7 +79,7 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
-def branch_set(betas, phi, index=None) -> BranchSet:
+def branch_set(betas, phi, branch_index=None) -> BranchSet:
     """Branches from an (r, 3) array of (d, g, f) transmissivities, each in
     [0, 1], and the common phase (a scalar or one value per branch).
 
@@ -122,17 +98,17 @@ def branch_set(betas, phi, index=None) -> BranchSet:
     root = np.sqrt(beta_g * beta_f)
     cross = np.sqrt(beta_f * (1.0 - beta_g))
     leak = np.sqrt((1.0 - beta_g) * (1.0 - beta_f))
-    return BranchSet(betas=betas, phi=phi,
+    return BranchSet(beta_d, beta_g, beta_f, phi,
                      alpha=_complex(root * cos, root * sin),
                      gamma=_complex(np.sqrt(1.0 - beta_f) + cross * cos, cross * sin),
                      beta_f_tilde=_complex(np.sqrt(beta_f) - leak * cos, 0.0 - leak * sin),
-                     index=(np.arange(1, len(betas) + 1) if index is None
-                            else np.full(len(betas), index, dtype=np.int64)))
+                     branch_index=(np.arange(1, len(betas) + 1) if branch_index is None
+                                   else np.full(len(betas), branch_index, dtype=np.int64)))
 
 
 def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
-                index: int = 1) -> BranchParams:
-    """Build a branch record from raw transmissivities and the common phase."""
+                index: int = 1) -> BranchSet:
+    """One branch, in Python scalars, from raw transmissivities and the common phase."""
     return branch_set([(float(beta_d), float(beta_g), float(beta_f))], float(phi), index)[0]
 
 

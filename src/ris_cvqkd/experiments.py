@@ -91,14 +91,14 @@ def _points(factors: ChannelFactors, scales):
     cores, one stack per channel and block."""
     ris = factors.scenario.ris
     sets = [branch_params(b, ris) for b in zip(*map(singular_values, cores_at(factors, scales)))]
-    return (BranchSet.join([b for b, _ in sets]), [len(b) for b, _ in sets],
+    return (BranchSet.of([b for b, _ in sets]), [len(b) for b, _ in sets],
             [clamped for _, clamped in sets], noise_model(factors.scenario))
 
 
 def _tiled(branches: BranchSet, phis) -> BranchSet:
     """The branches repeated phase by phase, in branch order within a phase."""
     return branch_set(np.tile(branches.betas, (len(phis), 1)),
-                      np.repeat(phis, len(branches)), np.tile(branches.index, len(phis)))
+                      np.repeat(phis, len(branches)), np.tile(branches.branch_index, len(phis)))
 
 
 def evaluate_scenario(scenario: Scenario,
@@ -228,7 +228,7 @@ def _rate_blocks(values, size: int, points, cases, ris_tap_closed: bool = False)
             branches, counts, clamps, noise = points(block)
             if ris_tap_closed:
                 branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
-                                      branches.phi, branches.index)
+                                      branches.phi, branches.branch_index)
             reports = [_split(total_skr(case, branches, noise), counts, clamps)
                        for case in cases]
             out += [dict(zip(cases, row)) for row in zip(*reports)]

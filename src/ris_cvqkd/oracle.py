@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import BranchParams, BranchSet, _complex, branch_set
+from .decomposition import BranchSet, _complex, branch_set
 from .qkd import AncillaCase, NoiseModel, NumericDomainError, Path, _abs, _sq, total_skr
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
@@ -61,9 +61,9 @@ def _cmul(x, y) -> np.ndarray:
     return _complex(xr * yr - xi * yi, xr * yi + xi * yr)
 
 
-def joint_cov(case: AncillaCase, b: BranchParams, n: NoiseModel) -> np.ndarray:
+def joint_cov(case: AncillaCase, b: BranchSet, n: NoiseModel) -> np.ndarray:
     """6x6 Hermitian covariance over (conditioning mode, output, EPR half)."""
-    return _joint_stack(_joint_entries(case, BranchSet.of([b]), n))[0]
+    return _joint_stack(_joint_entries(case, BranchSet.of(b), n))[0]
 
 
 def _joint_entries(case: AncillaCase, b: BranchSet, n: NoiseModel) -> np.ndarray:
@@ -112,7 +112,7 @@ def _joint_stack(entries: np.ndarray) -> np.ndarray:
     return j
 
 
-def conditional_cov_oracle(case: AncillaCase, b: BranchParams,
+def conditional_cov_oracle(case: AncillaCase, b: BranchSet,
                            n: NoiseModel) -> np.ndarray:
     """Condition the stored pair on the measured quadrature of Bob's mode.
 
@@ -263,7 +263,7 @@ _DRAW_RANGES = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * math.pi),
 _LINK = (1e13, 300.0)  # carrier frequency (Hz) and temperature (K) of every draw
 
 
-def random_branch(rng: np.random.Generator) -> tuple[BranchParams, NoiseModel]:
+def random_branch(rng: np.random.Generator) -> tuple[BranchSet, NoiseModel]:
     """One parameter draw of the standard verification grid: ``random_block``
     of one, in Python scalars."""
     branches, n = random_block(rng, 1)
@@ -328,7 +328,7 @@ def _complex_block(c: complex) -> np.ndarray:
     return np.array([[c.real, -c.imag], [c.imag, c.real]])
 
 
-def paper_mode_map(case: AncillaCase, b: BranchParams) -> np.ndarray:
+def paper_mode_map(case: AncillaCase, b: BranchSet) -> np.ndarray:
     """Real 6x6 map of the paper's model from (A, E, E') to (Bob's
     conditioning mode, stored output, kept EPR half).
 
@@ -336,7 +336,7 @@ def paper_mode_map(case: AncillaCase, b: BranchParams) -> np.ndarray:
     this map is not symplectic: Bob's mode and the stored output fail to
     commute.
     """
-    c_ba, c_be, c_oa, c_oe = (c[0] for c in _mode_coefficients(case, BranchSet.of([b])))
+    c_ba, c_be, c_oa, c_oe = (c[0] for c in _mode_coefficients(case, BranchSet.of(b)))
     return _mode_map(3, {(0, 0): _complex_block(c_ba), (0, 1): _complex_block(c_be),
                          (1, 0): _complex_block(c_oa), (1, 1): _complex_block(c_oe)})
 
@@ -360,7 +360,7 @@ def _phase_shift(theta: float, i: int) -> np.ndarray:
     return _mode_map(REGISTER_MODES, {(i, i): _complex_block(cmath.exp(1j * theta))})
 
 
-def independent_symplectic(path: Path, b: BranchParams) -> np.ndarray:
+def independent_symplectic(path: Path, b: BranchSet) -> np.ndarray:
     """14x14 real symplectic map of one receiver path with one EPR pair per hop.
 
     After the map, slot A holds Bob's mode on that path, slot E_x the
@@ -395,13 +395,13 @@ def independent_input_cov(n: NoiseModel) -> np.ndarray:
     return v
 
 
-def independent_output_cov(path: Path, b: BranchParams, n: NoiseModel) -> np.ndarray:
+def independent_output_cov(path: Path, b: BranchSet, n: NoiseModel) -> np.ndarray:
     """Register covariance after one path's network, S V S^T."""
     s = independent_symplectic(path, b)
     return s @ independent_input_cov(n) @ s.T
 
 
-def _independent_joint(case: AncillaCase, b: BranchParams, n: NoiseModel) -> np.ndarray:
+def _independent_joint(case: AncillaCase, b: BranchSet, n: NoiseModel) -> np.ndarray:
     """6x6 covariance over (Bob's conditioning mode, stored output, kept half)."""
     out = {AncillaCase.DIRECT: 1, AncillaCase.ALICE_RIS: 3, AncillaCase.RIS_BOB: 5}[case]
     path = Path.DIRECT if case is AncillaCase.DIRECT else Path.RIS
@@ -409,13 +409,13 @@ def _independent_joint(case: AncillaCase, b: BranchParams, n: NoiseModel) -> np.
     return independent_output_cov(path, b, n)[np.ix_(idx, idx)]
 
 
-def independent_stored_cov(case: AncillaCase, b: BranchParams,
+def independent_stored_cov(case: AncillaCase, b: BranchSet,
                            n: NoiseModel) -> np.ndarray:
     """Real 4x4 covariance of the stored pair under independent probes."""
     return _independent_joint(case, b, n)[2:, 2:]
 
 
-def independent_conditional_cov(case: AncillaCase, b: BranchParams,
+def independent_conditional_cov(case: AncillaCase, b: BranchSet,
                                 n: NoiseModel) -> np.ndarray:
     """Stored pair conditioned on Bob's measured x quadrature, independent probes."""
     return _homodyne_x(_independent_joint(case, b, n)).real

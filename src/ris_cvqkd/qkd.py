@@ -414,11 +414,11 @@ def total_skr(case: AncillaCase, branches, n: NoiseModel,
     """Reverse-reconciliation key rate of every branch in one pass, summed
     in branch order.
 
-    ``branches`` is a ``BranchSet`` or a sequence of ``BranchParams``; the
-    noise variances are scalars or one value per branch.  The Holevo term
-    belongs to the stored hop's path: the direct path for the direct case,
-    the reflected path otherwise; the other path leaks nothing.  Negative
-    rates are valid outputs (insecure regime).
+    ``branches`` is a ``BranchSet`` of one branch or many, or a sequence of
+    them; the noise variances are scalars or one value per branch.  The
+    Holevo term belongs to the stored hop's path: the direct path for the
+    direct case, the reflected path otherwise; the other path leaks nothing.
+    Negative rates are valid outputs (insecure regime).
     """
     b = BranchSet.of(branches)
     bv = _bob_variances(b, n, model)
@@ -429,7 +429,7 @@ def total_skr(case: AncillaCase, branches, n: NoiseModel,
     lams = np.array([lam1, lam2, *_conditional_eigs(cond)])
     h1, h2, h3, h4 = holevo_h(lams)
     holevo = h1 + h2 - h3 - h4
-    rates = BranchRecord(b.index, i_d, i_r, holevo, *lams, i_d + i_r - holevo,
+    rates = BranchRecord(b.branch_index, i_d, i_r, holevo, *lams, i_d + i_r - holevo,
                          (lams < 1.0 - NEGATIVITY_TOL).sum(axis=0))
     return SkrReport(ancilla_case=case, rates=rates, conditioned=cond,
                      total_skr=ordered_totals(rates.skr, [len(b)])[0],
