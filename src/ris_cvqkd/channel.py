@@ -28,10 +28,20 @@ class ArrayGeometry:
             raise ValueError("element_count must be >= 1")
         if not 0 < self.element_spacing < math.inf:
             raise ValueError("element_spacing must be finite and > 0")
+        if not 0 < self.gain_linear < math.inf:
+            raise ValueError("gain_per_element_dbi must give a linear gain that is finite and > 0")
 
     @property
     def gain_linear(self) -> float:
-        return 10.0 ** (0.1 * self.gain_per_element_dbi)
+        return linear_gain(self.gain_per_element_dbi)
+
+
+def linear_gain(dbi: float) -> float:
+    """10 ** (dBi / 10); infinite where Python's ** overflows."""
+    try:
+        return 10.0 ** (0.1 * dbi)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

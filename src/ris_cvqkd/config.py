@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .channel import (ArrayGeometry, PathSpec, RisGeometry, Scenario,
-                      line_of_sight_path)
+                      line_of_sight_path, linear_gain)
 
 GEOMETRY_RATIOS = (0.4, 0.7)  # (alice-ris, ris-bob) legs as fractions of d_ab
 
@@ -151,7 +151,13 @@ def _extra_paths(count: int, base_length: float, spread: float, excess: float,
         v = (j * _R2_B) % 1.0
         angle = spread * (2.0 * u - 1.0)
         elev = elevation + 0.5 * spread * (2.0 * v - 1.0)
-        length = base_length * excess ** j
+        try:
+            length = base_length * excess ** j
+        except OverflowError:
+            length = math.inf
+        if not 0 < length < math.inf:
+            raise ConfigError("extra_path_excess_length must keep every scattered path "
+                              "length finite and > 0")
         paths.append(PathSpec(path_length=length, aod=angle, aoa=angle,
                               elevation=elev, fresnel_coeff=fresnel,
                               is_los=False))
@@ -175,6 +181,13 @@ def make_scenario(params: dict) -> Scenario:
     for key in ("extra_paths_d", "extra_paths_g", "extra_paths_f"):
         if p[key] < 0:
             raise ConfigError(f"{key} must be >= 0")
+    if not 0 < linear_gain(p["antenna_gain_dbi"]) < math.inf:
+        raise ConfigError("antenna_gain_dbi must give a linear gain that is finite and > 0")
+    # checked whether or not a scattered path uses them
+    if not 0 <= p["fresnel_coeff"] <= 1:
+        raise ConfigError("fresnel_coeff must lie in [0, 1]")
+    if not math.isfinite(p["extra_path_angle_spread_rad"]):
+        raise ConfigError("extra_path_angle_spread_rad must be finite")
     wavelength = 299_792_458.0 / p["carrier_frequency_hz"]
     tx = ArrayGeometry(element_count=p["tx_antennas"],
                        element_spacing=p["antenna_spacing_wavelengths"] * wavelength,

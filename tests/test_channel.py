@@ -318,3 +318,10 @@ def test_ris_phase_folded():
     ris = RisGeometry(k_x=1, k_y=1, spacing_x=1e-5, spacing_y=1e-5,
                       common_phase=2.0 * math.pi + 0.25)
     assert ris.common_phase == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("dbi", [5000.0, -5000.0, math.inf, math.nan])
+def test_array_gain_must_be_finite_and_positive(dbi):
+    # 10 ** 500 overflows Python's ** and 10 ** -500 rounds to 0
+    with pytest.raises(ValueError, match="gain_per_element_dbi must give a linear gain"):
+        ArrayGeometry(element_count=4, element_spacing=1e-5, gain_per_element_dbi=dbi)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,3 +122,38 @@ def test_nonfinite_noise_key_rejected_by_name(capsys, key, value):
         default_scenario(**{key: float(value)})
     assert main(["skr", "--set", f"{key}={value}"]) == 1
     assert f"config error: {key} must be finite" in capsys.readouterr().err
+
+
+_GAIN = "antenna_gain_dbi must give a linear gain that is finite and > 0"
+_EXCESS = "extra_path_excess_length must keep every scattered path length finite and > 0"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["g_a=5000"], _GAIN), (["g_a=-5000"], _GAIN), (["g_a=nan"], _GAIN), (["g_a=inf"], _GAIN),
+    (["extra_paths_d=3", "extra_path_excess_length=1e200"], _EXCESS),
+    (["extra_paths_g=2", "extra_path_excess_length=1e154"], _EXCESS),
+    (["extra_paths_f=2", "extra_path_excess_length=1e-200"], _EXCESS),
+])
+def test_overflowing_key_rejected_by_name(capsys, overrides, message):
+    # Python's ** raises OverflowError or rounds to 0 or inf at these values
+    argv = ["skr"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("paths", [0, 2])
+@pytest.mark.parametrize("key, value, message", [
+    ("fresnel_coeff", "2", "fresnel_coeff must lie in [0, 1]"),
+    ("fresnel_coeff", "-1", "fresnel_coeff must lie in [0, 1]"),
+    ("fresnel_coeff", "nan", "fresnel_coeff must lie in [0, 1]"),
+    ("extra_path_angle_spread_rad", "inf", "extra_path_angle_spread_rad must be finite"),
+    ("extra_path_angle_spread_rad", "nan", "extra_path_angle_spread_rad must be finite"),
+])
+def test_path_key_checked_without_paths(capsys, paths, key, value, message):
+    # rejected by name whether or not a scattered path reads the value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        default_scenario(**{key: float(value), "extra_paths_d": paths})
+    assert main(["skr", "--set", f"extra_paths_d={paths}", "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from ris_cvqkd.channel import (ChannelTriple, RisGeometry, build_channels, channel_factors,
                                cores_at)
 from ris_cvqkd.config import default_scenario
-from ris_cvqkd.decomposition import (branch_params, branch_set, decompose, make_branch,
-                                     singular_values)
+from ris_cvqkd import oracle
+from ris_cvqkd.decomposition import (BranchParams, BranchSet, branch_params, branch_set,
+                                     decompose, make_branch, singular_values)
+from ris_cvqkd.qkd import AncillaCase, NoiseModel, total_skr
 
 
 def _ris(phase=0.0):
@@ -201,3 +203,64 @@ def test_core_singular_values_match_dense_matrix(n, side, offsets, scales):
             continue
         sv_want, sv_got = np.sqrt(want.betas), np.sqrt(got.betas)
         assert np.all(np.abs(sv_got - sv_want) <= 1e-13 * sv_want[0])
+
+
+def _array_set():
+    rng = np.random.default_rng(47)
+    return branch_set(rng.random((5, 3)), rng.random(5) * 2.0 * math.pi, 3)
+
+
+def test_one_branch_sets_hold_python_scalars():
+    branches = _array_set()
+    kinds = (float,) * 4 + (complex,) * 3 + (int,)
+    for i, b in enumerate(branches):
+        assert [type(getattr(b, f.name)) for f in dataclasses.fields(b)] == list(kinds)
+        assert b.beta_g == branches.beta_g[i] and b.alpha == branches.alpha[i]
+    assert len(list(branches)) == len(branches) == 5
+    assert type(branches[-1].branch_index) is int
+
+
+def test_of_rebuilds_the_array_set_bit_for_bit():
+    branches = _array_set()
+    rebuilt = BranchSet.of(list(branches))
+    for f in dataclasses.fields(BranchSet):
+        want, got = getattr(branches, f.name), getattr(rebuilt, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rebuilt.betas.tobytes() == branches.betas.tobytes()
+    empty = BranchSet.of([])
+    assert len(empty) == 0 and empty.betas.shape == (0, 3)
+    assert [getattr(empty, f.name).dtype for f in dataclasses.fields(BranchSet)] \
+        == [np.dtype(float)] * 4 + [np.dtype(complex)] * 3 + [np.dtype(np.int64)]
+
+
+def test_of_passes_a_lone_array_set_through():
+    branches = _array_set()
+    assert BranchSet.of(branches) is branches
+    assert BranchSet.of([branches]) is branches
+    assert BranchParams is BranchSet
+
+
+def test_keyword_record_rates_alone_in_a_list_and_joined():
+    # built field by field with cmath, as an independent reference builds it
+    beta_d, beta_g, beta_f, phi = 0.3, 0.6, 0.4, 1.1
+    rot = cmath.exp(1j * phi)
+    record = BranchParams(
+        beta_d=beta_d, beta_g=beta_g, beta_f=beta_f, phi=phi,
+        alpha=math.sqrt(beta_g * beta_f) * rot,
+        gamma=math.sqrt(1.0 - beta_f) + math.sqrt(beta_f * (1.0 - beta_g)) * rot,
+        beta_f_tilde=math.sqrt(beta_f) - math.sqrt((1.0 - beta_g) * (1.0 - beta_f)) * rot)
+    branches = _array_set()
+    noise = NoiseModel.from_link(1e13, 300.0, v_s=1000.0, v_e=2.0)
+    for case in AncillaCase:
+        alone = total_skr(case, record, noise)
+        assert total_skr(case, [record], noise).branches == alone.branches
+        joined = total_skr(case, [branches, record], noise)
+        assert joined.branches == total_skr(case, branches, noise).branches + alone.branches
+        assert joined.branches[-1].index == 1
+        joint = oracle.joint_cov(case, record, noise)
+        stacked = oracle._joint_stack(oracle._joint_entries(
+            case, BranchSet.of([branches, record]), noise))
+        assert joint.tobytes() == stacked[-1].tobytes()
+        rec = alone.branches[0]
+        assert oracle.numeric_symplectic_eigs(joint[2:, 2:]) \
+            == pytest.approx((rec.lambda_1, rec.lambda_2), rel=1e-8)
