@@ -27,6 +27,23 @@ class SvdBundle:
     betas: np.ndarray  # squared singular values above the cutoff; rank = len(betas)
 
 
+@dataclass(frozen=True)
+class SvdStack:
+    """Singular-value record of a stack of P channel matrices: row p of the
+    (P, k) ``values`` holds matrix p's squared singular values, sorted
+    descending, of which the first ``ranks[p]`` lie above the cutoff.
+    Item p is matrix p's bundle."""
+
+    values: np.ndarray
+    ranks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, p: int) -> SvdBundle:
+        return SvdBundle(betas=self.values[p, :self.ranks[p]])
+
+
 @dataclass(frozen=True, eq=False)
 class BranchSet:
     """Parallel branches: each field is a Python scalar for one branch, or an
@@ -112,15 +129,16 @@ def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
     return branch_set([(float(beta_d), float(beta_g), float(beta_f))], float(phi), index)[0]
 
 
-def singular_values(stack) -> list[SvdBundle]:
-    """One bundle per matrix of a (P, n, m) stack: its squared singular
-    values above ``RANK_CUTOFF`` times its largest, sorted descending."""
+def singular_values(stack) -> SvdStack:
+    """The squared singular values of each matrix of a (P, n, m) stack,
+    sorted descending, each matrix's rank counted above ``RANK_CUTOFF``
+    times its largest."""
     try:
         sv = np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
     kept = sv > RANK_CUTOFF * sv.max(axis=-1, keepdims=True, initial=0.0)  # sorted: prefixes
-    return [SvdBundle(betas=np.square(s[k])) for s, k in zip(sv, kept)]
+    return SvdStack(np.square(sv), np.count_nonzero(kept, axis=-1))
 
 
 def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
@@ -128,18 +146,32 @@ def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
     return tuple(singular_values(h[None])[0] for h in (t.h_d, t.h_g, t.h_f))
 
 
+def pair_points(stacks, phi) -> tuple[BranchSet, list[int], list[int]]:
+    """Pair the branches of P points at once from the ``SvdStack`` of each
+    of the (d, g, f) channels.
+
+    A point's branch count r is the smallest of its three channels' ranks,
+    and its branch i pairs the i-th strongest value of each channel, with
+    ``branch_index`` i.  Transmissivities above 1 (possible at short range
+    with large array gains) are clamped to 1, and a point counts its values
+    clamped by more than 1e-12.
+
+    Returns (the branches joined in point order, the branch count per
+    point, the clamp count per point).
+    """
+    counts = np.min([s.ranks for s in stacks], axis=0)
+    paired = [np.arange(s.values.shape[1]) < counts[:, None] for s in stacks]
+    betas = np.stack([s.values[m] for s, m in zip(stacks, paired)], axis=1)  # d, g, f
+    clamped = sum(np.count_nonzero((s.values > 1.0 + 1e-12) & m, axis=1)
+                  for s, m in zip(stacks, paired))
+    index = np.broadcast_to(np.arange(1, paired[0].shape[1] + 1), paired[0].shape)[paired[0]]
+    return branch_set(np.minimum(betas, 1.0), phi, index), counts.tolist(), clamped.tolist()
+
+
 def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],
                   ris: RisGeometry) -> tuple[BranchSet, int]:
-    """Pair the branches of the three channels and derive per-branch coefficients.
-
-    The branch count is the smallest rank, ``len(betas)``, among the three channels.
-    Transmissivities above 1 (possible at short range with large array gains)
-    are clamped to 1, and the number of values clamped by more than 1e-12 is
-    returned.
-
-    Returns (branches, clamp_count).
-    """
-    r = min(len(b.betas) for b in bundles)
-    betas = np.stack([b.betas[:r] for b in bundles], axis=1)  # (r, 3): d, g, f
-    clamped = int(np.count_nonzero(betas > 1.0 + 1e-12))
-    return branch_set(np.minimum(betas, 1.0), ris.common_phase), clamped
+    """The branches of one point's (d, g, f) bundles at the RIS common phase,
+    paired by ``pair_points``, and the point's clamp count."""
+    branches, _, (clamped,) = pair_points(
+        [SvdStack(b.betas[None], np.array([len(b.betas)])) for b in bundles], ris.common_phase)
+    return branches, clamped

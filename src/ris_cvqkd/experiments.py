@@ -5,8 +5,10 @@ antenna count, the optimal-common-phase search, the maximum secure distance,
 and the no-RIS baseline.  Every driver turns a scenario into branches through
 one step (channels -> decomposition -> paired branches) and rates them in one
 batched pass per case over the branches of many phases or distances stacked
-in one set.  Distance and phase grids are rated in blocks of points.  Every
-grid point is a pure function of the scenario, so results are deterministic.
+in one set.  Distance and phase grids are rated in blocks of points, and the
+phase and reach searches rate every point their next steps can ask for in
+one pass.  Every grid point is a pure function of the scenario, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .channel import (ChannelFactors, PathSpec, Scenario, build_channels, channel_factors,
                       cores_at)
 from .config import GEOMETRY_RATIOS
-from .decomposition import BranchSet, branch_params, branch_set, decompose, singular_values
+from .decomposition import branch_params, branch_set, decompose, pair_points, singular_values
 from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, Warnings,
                   ordered_totals, total_skr)
 
@@ -32,6 +34,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # core entries of one channel's stack per block: 8 points of 32 x 32 cores;
 # 100-point blocks raised a rich sweep's peak memory by 14%
 _BLOCK_ENTRIES = 8_192
+# steps a sequential search rates ahead per call, measured on the default
+# line-of-sight scenario: 15 phases of golden section, 31 distances of
+# bisection (a 9-level, 511-point bisection was slower than 5 levels)
+_GOLDEN_STEPS = 4
+_BISECTION_STEPS = 5
 _UNIT = [(1.0, 1.0, 1.0)]  # the scale triple of a scenario's own channels
 
 
@@ -88,11 +95,10 @@ def _points(factors: ChannelFactors, scales):
     """The paired branches of the factors' channels at each scale triple,
     joined in order, with each point's branch count and clamp count and the
     noise model.  Each channel's singular values come from its path-space
-    cores, one stack per channel and block."""
-    ris = factors.scenario.ris
-    sets = [branch_params(b, ris) for b in zip(*map(singular_values, cores_at(factors, scales)))]
-    return (BranchSet.of([b for b, _ in sets]), [len(b) for b, _ in sets],
-            [clamped for _, clamped in sets], noise_model(factors.scenario))
+    cores, one stack per channel and block, and the block is paired at once."""
+    return (*pair_points([singular_values(stack) for stack in cores_at(factors, scales)],
+                         factors.scenario.ris.common_phase),
+            noise_model(factors.scenario))
 
 
 def _tiled(branches: BranchSet, phis) -> BranchSet:
@@ -215,27 +221,74 @@ def _split(report: SkrReport, counts, clamps) -> list[SkrReport]:
             in zip(stops, stops[1:], ordered_totals(rates.skr, counts), clamps)]
 
 
-def _rate_blocks(values, size: int, points, cases, ris_tap_closed: bool = False) -> list:
-    """Per-point reports of a grid, ``size`` points at a time: ``points(block)``
-    gives the block's joined branches, their counts and clamp counts per point
-    and the noise model, and each case is rated once over the block (with
-    beta_f = 0 if ``ris_tap_closed``).  A block that raises is rated again
-    point by point; a failing point gives its exception for its reports."""
+def _rate_blocks(values, size: int, rate) -> list:
+    """Per-point results of a grid, ``size`` points at a time, where
+    ``rate(block)`` gives a block's results in order.  A block that raises
+    is rated again point by point; a failing point gives its exception."""
     out = []
     for start in range(0, len(values), size):
         block = values[start:start + size]
         try:
-            branches, counts, clamps, noise = points(block)
-            if ris_tap_closed:
-                branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
-                                      branches.phi, branches.branch_index)
-            reports = [_split(total_skr(case, branches, noise), counts, clamps)
-                       for case in cases]
-            out += [dict(zip(cases, row)) for row in zip(*reports)]
+            out += rate(block)
         except (ValueError, ArithmeticError) as exc:
-            out += [exc] if len(block) == 1 else _rate_blocks(block, 1, points, cases,
-                                                              ris_tap_closed)
+            out += [exc] if len(block) == 1 else _rate_blocks(block, 1, rate)
     return out
+
+
+def _block_reports(points, cases, ris_tap_closed: bool, block) -> list:
+    """Each point's report per case: ``points(block)`` gives the block's
+    joined branches, their counts and clamp counts per point and the noise
+    model, and each case is rated once over the block (with beta_f = 0 if
+    ``ris_tap_closed``)."""
+    branches, counts, clamps, noise = points(block)
+    if ris_tap_closed:
+        branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
+                              branches.phi, branches.branch_index)
+    reports = [_split(total_skr(case, branches, noise), counts, clamps) for case in cases]
+    return [dict(zip(cases, row)) for row in zip(*reports)]
+
+
+def _case_totals(values, size: int, points, case: AncillaCase) -> list:
+    """Per-point totals of one case over a grid, in blocks of ``points`` as
+    the sweeps rate them, read straight from each block's branch rates; a
+    failing point gives its exception."""
+    def rate(block):
+        branches, counts, _, noise = points(block)
+        return ordered_totals(total_skr(case, branches, noise).rates.skr, counts)
+
+    return _rate_blocks(values, size, rate)
+
+
+def _checked(outcomes: list) -> list:
+    """The outcomes of a grid, or the first failing point's exception raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _reader(outcomes_of):
+    """``read(x, ahead)`` gives a sequential search its value at ``x``.  On a
+    miss, ``x`` and the points ``ahead()`` names are rated in one
+    ``outcomes_of(points)`` call and every outcome is kept, a value or the
+    point's exception; an exception is raised only when its point is read."""
+    outcomes = {}
+
+    def read(x, ahead):
+        if x not in outcomes:
+            fresh = [p for p in dict.fromkeys([x, *ahead()]) if p not in outcomes]
+            outcomes.update(zip(fresh, outcomes_of(fresh)))
+        if isinstance(outcomes[x], Exception):
+            raise outcomes[x]
+        return outcomes[x]
+
+    return read
+
+
+def _phase_points(decomposed, phis):
+    """The ``_points`` of one decomposed scenario repeated phase by phase."""
+    branches, (count,), (clamped,), noise = decomposed
+    return _tiled(branches, phis), [count] * len(phis), [clamped] * len(phis), noise
 
 
 def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
@@ -262,10 +315,8 @@ def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
         decomposed = functools.cache(lambda: _points(factors, _UNIT))
 
         def points(phis):  # each phase folded as RisGeometry folds it
-            folded = [dataclasses.replace(base.ris, common_phase=phi).common_phase
-                      for phi in phis]
-            branches, (count,), (clamped,), noise = decomposed()
-            return _tiled(branches, folded), [count] * len(phis), [clamped] * len(phis), noise
+            return _phase_points(decomposed(), [
+                dataclasses.replace(base.ris, common_phase=phi).common_phase for phi in phis])
     else:
         size, transform = 1, _SCENARIO_TRANSFORMS[spec.variable]
 
@@ -276,7 +327,8 @@ def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
             scenario = transform(base, values[0])
             branches, clamped = branch_params(decompose(build_channels(scenario)), scenario.ris)
             return branches, [len(branches)], [clamped], noise_model(scenario)
-    rows = _rate_blocks(spec.grid, size, points, spec.cases, ris_tap_closed)
+    rows = _rate_blocks(spec.grid, size, functools.partial(_block_reports, points, spec.cases,
+                                                           ris_tap_closed))
     return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(
         SweepRow(value, None, str(r)) if isinstance(r, Exception) else SweepRow(value, r)
         for value, r in zip(spec.grid, rows)), scenario_digest=scenario_digest(base))
@@ -298,28 +350,30 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """Common phase maximizing the key rate, searched over [0, pi].
 
     The rate is even and 2*pi-periodic in the phase, so [0, pi] suffices.
-    A grid scan at the requested resolution, rated in passes of at most
-    ``_BLOCK_ENTRIES`` branches, brackets the maximizer; a golden-section
-    refinement follows.  The channel matrices do not depend on the common
-    phase, so one decomposition serves every evaluation.
+    A grid scan at the requested resolution brackets the maximizer; a
+    golden-section refinement follows, and a step whose phase is unrated
+    rates the phases of the next ``_GOLDEN_STEPS`` steps in one pass.  Every
+    pass holds at most ``_BLOCK_ENTRIES`` branches.  The channel matrices do
+    not depend on the common phase, so one decomposition serves every
+    evaluation.
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
-    branches, _, _, noise = _points(channel_factors(base), _UNIT)
+    decomposed = _points(channel_factors(base), _UNIT)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(decomposed[0])))
 
-    def report(phis) -> SkrReport:
-        """The branches repeated phase by phase, rated in one pass."""
-        return total_skr(case, _tiled(branches, phis), noise)
+    def totals(phis) -> list:
+        return _case_totals(phis, step, functools.partial(_phase_points, decomposed), case)
+
+    read = _reader(totals)
 
     def rate(phi: float) -> float:
-        return report([phi]).total_skr
+        # a miss rates ahead from the loop's current bracket (a, b, c, d)
+        return read(phi, lambda: _golden_points(a, b, c, d, tol))
 
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
-    values, step = [], max(1, _BLOCK_ENTRIES // max(1, len(branches)))
-    for start in range(0, points, step):
-        phis = grid[start:start + step]
-        values += ordered_totals(report(phis).rates.skr, [len(branches)] * len(phis))
+    values = _checked(totals(grid))
     # rightmost maximizer: the rate can plateau exactly (clamped Holevo), and
     # the plateau edge next to the falling branch is the meaningful optimum
     best = max(range(points), key=lambda i: (values[i], i))
@@ -348,12 +402,51 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     return PhaseOptimum(phi_star=phi_star, skr_star=skr_star)
 
 
-def _last_crossing(rates, grid, tolerance: float) -> float:
-    """Largest point with a positive rate: the grid is rated in one
-    ``rates(points)`` call, then the last positive-to-nonpositive crossing is
-    bisected to ``tolerance``.  Returns the last grid point if the rate is
-    positive there, 0 if it is nowhere positive."""
-    values = rates(grid)
+def _golden_points(a: float, b: float, c: float, d: float, tol: float) -> list[float]:
+    """The phases the golden-section loop of ``optimal_phase`` can rate in
+    ``_GOLDEN_STEPS`` steps from the bracket [a, b] with interior points
+    c < d, by the loop's own expressions: c and d, the new point of either
+    comparison outcome at each later step, and the closing midpoint of every
+    branch that ends."""
+    out, brackets, ended = [c, d], [(a, b, c, d)], []
+    for _ in range(_GOLDEN_STEPS - 1):
+        ahead = []
+        for a, b, c, d in brackets:
+            if not (b - a) > tol:
+                ended.append(0.5 * (a + b))
+                continue
+            upper = d - _GOLDEN * (d - a)  # fc > fd: b, d = d, c; then c
+            lower = c + _GOLDEN * (b - c)  # otherwise: a, c = c, d; then d
+            out += [upper, lower]
+            ahead += [(a, d, upper, c), (c, b, d, lower)]
+        brackets = ahead
+    return out + ended + [0.5 * (a + b) for a, b, _, _ in brackets if not (b - a) > tol]
+
+
+def _bisection_points(lo: float, hi: float, tolerance: float) -> list[float]:
+    """The points the bisection of ``_last_crossing`` can rate in
+    ``_BISECTION_STEPS`` levels from the bracket [lo, hi], by the loop's own
+    expressions and stops: the midpoint, then the midpoints of both halves."""
+    out, brackets = [], [(lo, hi)]
+    for _ in range(_BISECTION_STEPS):
+        ahead = []
+        for lo, hi in brackets:
+            mid = 0.5 * (lo + hi)
+            if (hi - lo) > tolerance and lo < mid < hi:
+                out.append(mid)
+                ahead += [(mid, hi), (lo, mid)]
+        brackets = ahead
+    return out
+
+
+def _last_crossing(outcomes, grid, tolerance: float) -> float:
+    """Largest point with a positive rate: ``outcomes(points)`` gives each
+    point's rate, or its exception.  The grid is rated in one call (a failing
+    point raises), then the last positive-to-nonpositive crossing is bisected
+    to ``tolerance``; a level whose midpoint is unrated rates the midpoints
+    of the next ``_BISECTION_STEPS`` levels in one call.  Returns the last
+    grid point if the rate is positive there, 0 if it is nowhere positive."""
+    values = _checked(outcomes(grid))
     if all(v <= 0.0 for v in values):
         return 0.0
     if values[-1] > 0.0:
@@ -362,11 +455,12 @@ def _last_crossing(rates, grid, tolerance: float) -> float:
     if not crossings:  # only with a NaN rate on the grid
         return grid[0]
     lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
+    read = _reader(outcomes)
     while (hi - lo) > tolerance:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: no finer split exists
             break
-        if rates([mid])[0] > 0.0:
+        if read(mid, lambda: _bisection_points(lo, hi, tolerance)) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -387,20 +481,15 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
     if not grid_points >= 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     factors = channel_factors(base)
+    size = _block_points(factors)
 
     def points(distances):
         return _points(factors, [_distance_scales(base, d) for d in distances])
 
-    def rates(distances) -> list[float]:
-        rows = _rate_blocks(distances, _block_points(factors), points, (case,))
-        for row in rows:
-            if isinstance(row, Exception):
-                raise row
-        return [row[case].total_skr for row in rows]
-
     grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
             for i in range(grid_points)]
-    return _last_crossing(rates, grid, tolerance)
+    return _last_crossing(lambda distances: _case_totals(distances, size, points, case),
+                          grid, tolerance)
 
 
 def no_ris_baseline(base: Scenario, distances=None) -> SweepResult:

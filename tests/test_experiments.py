@@ -391,17 +391,19 @@ def _count_rated_branches(monkeypatch):
 
 def test_blocks_are_sized_by_cores(monkeypatch):
     # 32 x 32 cores of the rich scenario give 8 points a block; the 1 x 1
-    # cores of line of sight put the whole 64-point reach scan in one call
+    # cores of line of sight put the whole 64-point reach scan in one call,
+    # and each bisection call rates the midpoints of the next levels
     assert experiments._block_points(channel_factors(default_scenario(**RICH))) == 8
     calls = _count_rated_branches(monkeypatch)
     max_secure_distance(default_scenario(), AncillaCase.RIS_BOB)
-    assert calls[0] == 64 and set(calls[1:]) == {1}
+    assert calls[0] == 64 and len(calls) <= 3
+    assert max(calls[1:]) <= 2 ** experiments._BISECTION_STEPS - 1
 
 
 def test_phase_search_rates_its_grid_within_the_budget(monkeypatch):
     calls = _count_rated_branches(monkeypatch)
     optimal_phase(default_scenario(), AncillaCase.DIRECT)
-    assert calls[0] == 257 and set(calls[1:]) == {1}  # the default grid: one call
+    assert calls[0] == 257 and len(calls) <= 12  # the default grid: one call
     base = default_scenario(d_ab=20.0, **RICH)
     want = optimal_phase(base, AncillaCase.RIS_BOB, resolution=math.pi / 64)
     calls.clear()
