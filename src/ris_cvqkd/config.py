@@ -88,7 +88,7 @@ def _parse_value(key: str, raw: str):
                 raise ValueError
             return int(value)
         return float(raw)
-    except ValueError:
+    except (ValueError, OverflowError):  # int() of nan, inf
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
 
 
@@ -170,9 +170,16 @@ def make_scenario(params: dict) -> Scenario:
     # checked here so the message names the key, not a derived value
     for key in ("carrier_frequency_hz", "temperature_k", "modulation_variance_snu",
                 "antenna_spacing_wavelengths", "ris_spacing_x_wavelengths",
-                "ris_spacing_y_wavelengths", "extra_path_excess_length"):
+                "ris_spacing_y_wavelengths", "extra_path_excess_length",
+                "distance_alice_bob_m", "distance_alice_ris_m", "distance_ris_bob_m"):
         if not 0 < p[key] < math.inf:
             raise ConfigError(f"{key} must be finite and > 0")
+    for key in ("tx_antennas", "rx_antennas", "ris_elements_x", "ris_elements_y"):
+        if p[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    for key in ("ris_phase_rad", "ris_elevation_rad", "los_aod_rad", "los_aoa_rad"):
+        if not math.isfinite(p[key]):
+            raise ConfigError(f"{key} must be finite")
     if not 1 <= p["eve_variance_snu"] < math.inf:
         raise ConfigError("eve_variance_snu must be finite and >= 1")
     for key in ("roughness", "absorption_db_per_km"):

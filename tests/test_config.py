@@ -157,3 +157,23 @@ def test_path_key_checked_without_paths(capsys, paths, key, value, message):
         default_scenario(**{key: float(value), "extra_paths_d": paths})
     assert main(["skr", "--set", f"extra_paths_d={paths}", "--set", f"{key}={value}"]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tx_antennas", "0", "tx_antennas must be >= 1"),
+    ("rx_antennas", "-3", "rx_antennas must be >= 1"),
+    ("ris_elements_x", "0", "ris_elements_x must be >= 1"),
+    ("ris_elements_y", "0", "ris_elements_y must be >= 1"),
+    ("d_ab", "0", "distance_alice_bob_m must be finite and > 0"),
+    ("distance_alice_ris_m", "inf", "distance_alice_ris_m must be finite and > 0"),
+    ("distance_ris_bob_m", "-1", "distance_ris_bob_m must be finite and > 0"),
+    ("los_aod_rad", "inf", "los_aod_rad must be finite"),
+    ("los_aoa_rad", "nan", "los_aoa_rad must be finite"),
+    ("ris_elevation_rad", "nan", "ris_elevation_rad must be finite"),
+    ("phi", "inf", "ris_phase_rad must be finite"),
+    ("tx_antennas", "inf", "cannot parse value 'inf' for key 'tx_antennas'"),
+])
+def test_geometry_key_rejected_by_name(capsys, key, value, message):
+    # these used to fail downstream with a message naming a derived value
+    assert main(["skr", "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
