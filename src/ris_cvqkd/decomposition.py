@@ -164,7 +164,7 @@ def pair_points(stacks, phi) -> tuple[BranchSet, list[int], list[int]]:
     betas = np.stack([s.values[m] for s, m in zip(stacks, paired)], axis=1)  # d, g, f
     clamped = sum(np.count_nonzero((s.values > 1.0 + 1e-12) & m, axis=1)
                   for s, m in zip(stacks, paired))
-    index = np.broadcast_to(np.arange(1, paired[0].shape[1] + 1), paired[0].shape)[paired[0]]
+    index = np.nonzero(paired[0])[1] + 1  # the column of each paired value, 1-based
     return branch_set(np.minimum(betas, 1.0), phi, index), counts.tolist(), clamped.tolist()
 
 

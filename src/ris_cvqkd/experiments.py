@@ -408,19 +408,19 @@ def _golden_points(a: float, b: float, c: float, d: float, tol: float) -> list[f
     c < d, by the loop's own expressions: c and d, the new point of either
     comparison outcome at each later step, and the closing midpoint of every
     branch that ends."""
-    out, brackets, ended = [c, d], [(a, b, c, d)], []
-    for _ in range(_GOLDEN_STEPS - 1):
+    out, brackets = [c, d], [(a, b, c, d)]
+    for level in range(_GOLDEN_STEPS):
         ahead = []
         for a, b, c, d in brackets:
-            if not (b - a) > tol:
-                ended.append(0.5 * (a + b))
-                continue
-            upper = d - _GOLDEN * (d - a)  # fc > fd: b, d = d, c; then c
-            lower = c + _GOLDEN * (b - c)  # otherwise: a, c = c, d; then d
-            out += [upper, lower]
-            ahead += [(a, d, upper, c), (c, b, d, lower)]
+            if not (b - a) > tol:  # the loop ends and rates the midpoint
+                out.append(0.5 * (a + b))
+            elif level < _GOLDEN_STEPS - 1:
+                upper = d - _GOLDEN * (d - a)  # fc > fd: b, d = d, c; then c
+                lower = c + _GOLDEN * (b - c)  # otherwise: a, c = c, d; then d
+                out += [upper, lower]
+                ahead += [(a, d, upper, c), (c, b, d, lower)]
         brackets = ahead
-    return out + ended + [0.5 * (a + b) for a, b, _, _ in brackets if not (b - a) > tol]
+    return out
 
 
 def _bisection_points(lo: float, hi: float, tolerance: float) -> list[float]:

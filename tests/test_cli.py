@@ -55,9 +55,9 @@ def test_sweep_matches_golden_fixture(tmp_path):
     ("stdout_max_distance.txt", ["max-distance", "--cases", "d,g,f"]),
     ("stdout_max_distance_eve2.txt",
      ["max-distance", "--cases", "d,g,f", "--set", "eve_variance_snu=2"]),
+    ("stdout_phase_sweep.txt", ["sweep", "--variable", "phase", "--grid", "0:6:50"]),
     ("stdout_max_distance_grid.txt",
      ["max-distance", "--cases", "d,g,f", "--grid", "1e12:2e13:5"]),
-    ("stdout_phase_sweep.txt", ["sweep", "--variable", "phase", "--grid", "0:6:50"]),
 ])
 def test_stdout_matches_fixture(fixture, argv, capsysbinary):
     # the searches and the phase sweep print every digit they compute

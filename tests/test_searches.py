@@ -131,72 +131,49 @@ def test_reach_search_equals_sequential_reference(scenario, case, tolerance, d_m
     assert got == reference_reach(base, case, tolerance, d_max, grid_points)
 
 
-def _failing_at(monkeypatch, name: str, bad: float) -> None:
-    """Make the experiments helper ``name`` raise for the point ``bad``."""
-    original = getattr(experiments, name)
-
-    def failing(base, point, *args):
-        if point == bad:
-            raise ValueError("probe fails")
-        return original(base, point, *args)
-
-    monkeypatch.setattr(experiments, name, failing)
+def _points_of(points) -> list:
+    return points if isinstance(points, list) else [points]
 
 
-def _rated(monkeypatch, name: str) -> list:
-    """The points the experiments helper ``name`` is asked for."""
-    rated, original = [], getattr(experiments, name)
+SEARCHES = {
+    # the search, its reference, and the helper every rated point passes
+    "phase": (lambda base, case: optimal_phase(base, case),
+              lambda base, case, visited: reference_phase(base, case, math.pi / 256, visited),
+              "_phase_points", dict(d_ab=50.0)),
+    "reach": (lambda base, case: max_secure_distance(base, case, d_max=175.0),
+              lambda base, case, visited: reference_reach(base, case, 0.01, 175.0, 64, visited),
+              "_distance_scales", dict(eve_variance_snu=2.0)),
+}
 
-    def recorded(base, points, *args):
-        rated.append(points)
-        return original(base, points, *args)
 
-    monkeypatch.setattr(experiments, name, recorded)
-    return rated
-
-
-def test_reach_raises_only_for_the_points_its_loop_reads(monkeypatch):
-    base = default_scenario(eve_variance_snu=2.0)
-    case = AncillaCase.ALICE_RIS
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_only_points_the_loop_reads_raise(monkeypatch, search):
+    run, reference, helper, overrides = SEARCHES[search]
+    base, case = default_scenario(**overrides), AncillaCase.RIS_BOB
     visited = []
-    want = reference_reach(base, case, 0.01, 175.0, 64, visited)
+    want = reference(base, case, visited)
+    original, rated = getattr(experiments, helper), []
+
+    def recorded(first, points):
+        rated.extend(_points_of(points))
+        return original(first, points)
+
     with monkeypatch.context() as patch:
-        rated = _rated(patch, "_distance_scales")
-        assert max_secure_distance(base, case, d_max=175.0) == want
-    unvisited = [d for d in rated if d not in visited]
+        patch.setattr(experiments, helper, recorded)
+        assert run(base, case) == want
+    unvisited = [x for x in rated if x not in visited]
     assert unvisited  # the lookahead rates points the loop never reads
-    with monkeypatch.context() as patch:
-        _failing_at(patch, "_distance_scales", unvisited[0])
-        assert max_secure_distance(base, case, d_max=175.0) == want
-    with monkeypatch.context() as patch:
-        _failing_at(patch, "_distance_scales", visited[-1])
-        with pytest.raises(ValueError, match="probe fails"):
-            max_secure_distance(base, case, d_max=175.0)
+    for bad in (unvisited[0], visited[-1]):
 
+        def failing(first, points, bad=bad):
+            if bad in _points_of(points):
+                raise ValueError("probe fails")
+            return original(first, points)
 
-def test_phase_search_raises_only_for_the_phases_its_loop_reads(monkeypatch):
-    base = default_scenario(d_ab=50.0)
-    case = AncillaCase.RIS_BOB
-    visited = []
-    want = reference_phase(base, case, math.pi / 256, visited)
-    with monkeypatch.context() as patch:
-        rated = _rated(patch, "_phase_points")
-        assert optimal_phase(base, case) == want
-    rated = [phi for phis in rated for phi in phis]
-    unvisited = [phi for phi in rated if phi not in visited]
-    assert unvisited
-    for bad, fails in [(unvisited[0], False), (visited[-1], True)]:
         with monkeypatch.context() as patch:
-            original = experiments._phase_points
-
-            def failing(decomposed, phis, bad=bad):
-                if bad in phis:
-                    raise ValueError("probe fails")
-                return original(decomposed, phis)
-
-            patch.setattr(experiments, "_phase_points", failing)
-            if fails:
+            patch.setattr(experiments, helper, failing)
+            if bad in visited:  # raised as by a search of one point per step
                 with pytest.raises(ValueError, match="probe fails"):
-                    optimal_phase(base, case)
+                    run(base, case)
             else:
-                assert optimal_phase(base, case) == want
+                assert run(base, case) == want
