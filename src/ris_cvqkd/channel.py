@@ -44,6 +44,13 @@ def linear_gain(dbi: float) -> float:
         return math.inf
 
 
+def fold_phase(phi: float) -> float:
+    """A finite common phase folded into [0, 2*pi)."""
+    if not math.isfinite(phi):
+        raise ValueError("common_phase must be finite")
+    return phi % (2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class RisGeometry:
     """Rectangular grid of passive reflecting elements with one shared phase."""
@@ -59,9 +66,7 @@ class RisGeometry:
             raise ValueError("RIS grid dimensions must be >= 1")
         if not (0 < self.spacing_x < math.inf and 0 < self.spacing_y < math.inf):
             raise ValueError("RIS element spacings must be finite and > 0")
-        if not math.isfinite(self.common_phase):
-            raise ValueError("common_phase must be finite")
-        object.__setattr__(self, "common_phase", self.common_phase % (2.0 * math.pi))
+        object.__setattr__(self, "common_phase", fold_phase(self.common_phase))
 
     @property
     def element_count(self) -> int:

@@ -157,29 +157,26 @@ def _cmd_optimize_phase(args) -> int:
 def _cmd_max_distance(args) -> int:
     scenario = _load(args)
     cases = _parse_cases(args.cases)
-    if args.grid:
-        frequencies = _parse_grid(args.grid)
-        header = ["frequency_hz"] + [f"max_distance_m_{c.value}" for c in cases]
-        lines = [",".join(header)]
-        for f_c in frequencies:
-            probe = experiments.scenario_with_frequency(scenario, f_c)
-            cells = [_fmt(f_c)]
-            for case in cases:
-                cells.append(_fmt(experiments.max_secure_distance(
-                    probe, case, tolerance=args.tolerance,
-                    d_min=args.d_min, d_max=args.d_max)))
-            lines.append(",".join(cells))
-        if args.output:
-            _write(args.output, lines)
-            print(f"wrote {len(frequencies)} rows to {args.output}")
-        else:
-            print("\n".join(lines))
-    else:
+
+    def reach(probe, case):
+        return experiments.max_secure_distance(probe, case, tolerance=args.tolerance,
+                                               d_min=args.d_min, d_max=args.d_max)
+
+    if not (args.grid or args.output):
         for case in cases:
-            d = experiments.max_secure_distance(
-                scenario, case, tolerance=args.tolerance,
-                d_min=args.d_min, d_max=args.d_max)
-            print(f"case {case.value}: max secure distance = {_fmt(d)} m")
+            print(f"case {case.value}: max secure distance = {_fmt(reach(scenario, case))} m")
+        return EXIT_OK
+    # without a grid, one row at the scenario's own carrier frequency
+    frequencies = _parse_grid(args.grid) if args.grid else (scenario.carrier_frequency,)
+    lines = [",".join(["frequency_hz"] + [f"max_distance_m_{c.value}" for c in cases])]
+    for f_c in frequencies:
+        probe = experiments.scenario_with_frequency(scenario, f_c) if args.grid else scenario
+        lines.append(",".join([_fmt(f_c)] + [_fmt(reach(probe, case)) for case in cases]))
+    if args.output:
+        _write(args.output, lines)
+        print(f"wrote {len(frequencies)} rows to {args.output}")
+    else:
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -37,9 +37,6 @@ class SvdStack:
     values: np.ndarray
     ranks: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.ranks)
-
     def __getitem__(self, p: int) -> SvdBundle:
         return SvdBundle(betas=self.values[p, :self.ranks[p]])
 

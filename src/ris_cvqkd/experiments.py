@@ -2,13 +2,13 @@
 
 Covers key rate versus distance / RIS size / RIS phase / carrier frequency /
 antenna count, the optimal-common-phase search, the maximum secure distance,
-and the no-RIS baseline.  Every driver turns a scenario into branches through
-one step (channels -> decomposition -> paired branches) and rates them in one
-batched pass per case over the branches of many phases or distances stacked
-in one set.  Distance and phase grids are rated in blocks of points, and the
-phase and reach searches rate every point their next steps can ask for in
-one pass.  Every grid point is a pure function of the scenario, so results
-are deterministic.
+and the no-RIS baseline.  Every driver takes its grid's block size and points
+from ``_grid``, which turns a scenario into branches through one step
+(channels -> decomposition -> paired branches), and rates them in one batched
+pass per case over the branches of a block of points stacked in one set.  The
+phase and reach searches rate every point their next steps can ask for in one
+pass.  Every grid point is a pure function of the scenario, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (ChannelFactors, PathSpec, Scenario, build_channels, channel_factors,
-                      cores_at)
+from .channel import (ChannelFactors, Scenario, build_channels, channel_factors, cores_at,
+                      fold_phase)
 from .config import GEOMETRY_RATIOS
 from .decomposition import branch_params, branch_set, decompose, pair_points, singular_values
 from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, Warnings,
@@ -101,26 +101,11 @@ def _points(factors: ChannelFactors, scales):
             noise_model(factors.scenario))
 
 
-def _tiled(branches: BranchSet, phis) -> BranchSet:
-    """The branches repeated phase by phase, in branch order within a phase."""
-    return branch_set(np.tile(branches.betas, (len(phis), 1)),
-                      np.repeat(phis, len(branches)), np.tile(branches.branch_index, len(phis)))
-
-
 def evaluate_scenario(scenario: Scenario,
                       cases=tuple(AncillaCase)) -> dict[AncillaCase, SkrReport]:
     """Full pipeline: channels -> branch decomposition -> per-case key rate."""
     branches, _, (clamped,), noise = _points(channel_factors(scenario), _UNIT)
     return {case: total_skr(case, branches, noise, clamped) for case in cases}
-
-
-def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec, ...]:
-    """Rescale path lengths (and delays proportionally) by a common factor."""
-    out = []
-    for p in paths:
-        out.append(dataclasses.replace(
-            p, path_length=p.path_length * factor, delay=p.delay * factor))
-    return tuple(out)
 
 
 def _distance_scales(base: Scenario, d_ab: float) -> tuple[float, float, float]:
@@ -130,19 +115,6 @@ def _distance_scales(base: Scenario, d_ab: float) -> tuple[float, float, float]:
         raise ValueError("distance must be > 0")
     d_ar, d_rb = GEOMETRY_RATIOS[0] * d_ab, GEOMETRY_RATIOS[1] * d_ab
     return d_ab / base.d_alice_bob, d_ar / base.d_alice_ris, d_rb / base.d_ris_bob
-
-
-def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
-    """Move the endpoints apart, keeping the fixed leg ratios and rescaling
-    every path proportionally to its channel's leg."""
-    s_d, s_g, s_f = _distance_scales(base, d_ab)
-    return dataclasses.replace(
-        base,
-        d_alice_bob=d_ab, d_alice_ris=GEOMETRY_RATIOS[0] * d_ab,
-        d_ris_bob=GEOMETRY_RATIOS[1] * d_ab,
-        multipaths_d=_scaled_paths(base.multipaths_d, s_d),
-        multipaths_g=_scaled_paths(base.multipaths_g, s_g),
-        multipaths_f=_scaled_paths(base.multipaths_f, s_f))
 
 
 def _whole(value, what: str) -> int:
@@ -199,7 +171,7 @@ def scenario_digest(scenario: Scenario) -> str:
 
 
 def _block_points(factors: ChannelFactors) -> int:
-    """Grid points per block: the stack of the largest min(n, L) x min(m, L)
+    """Distance points per block: the stack of the largest min(n, L) x min(m, L)
     core stays within ``_BLOCK_ENTRIES`` entries, with one point at least."""
     largest = max(len(r_arrival) * len(r_departure)
                   for *_, r_arrival, r_departure in factors.channels)
@@ -235,28 +207,24 @@ def _rate_blocks(values, size: int, rate) -> list:
     return out
 
 
-def _block_reports(points, cases, ris_tap_closed: bool, block) -> list:
+def _block_reports(points, cases, block) -> list:
     """Each point's report per case: ``points(block)`` gives the block's
     joined branches, their counts and clamp counts per point and the noise
-    model, and each case is rated once over the block (with beta_f = 0 if
-    ``ris_tap_closed``)."""
+    model, and each case is rated once over the block."""
     branches, counts, clamps, noise = points(block)
-    if ris_tap_closed:
-        branches = branch_set(np.where([True, True, False], branches.betas, 0.0),
-                              branches.phi, branches.branch_index)
     reports = [_split(total_skr(case, branches, noise), counts, clamps) for case in cases]
     return [dict(zip(cases, row)) for row in zip(*reports)]
 
 
-def _case_totals(values, size: int, points, case: AncillaCase) -> list:
-    """Per-point totals of one case over a grid, in blocks of ``points`` as
-    the sweeps rate them, read straight from each block's branch rates; a
-    failing point gives its exception."""
+def _case_totals(case: AncillaCase, size: int, points):
+    """``totals(values)``: per-point totals of one case over values of a
+    ``_grid``'s ``(size, points)``, in its blocks as the sweeps rate them, read
+    straight from each block's branch rates; a failing point gives its exception."""
     def rate(block):
         branches, counts, _, noise = points(block)
         return ordered_totals(total_skr(case, branches, noise).rates.skr, counts)
 
-    return _rate_blocks(values, size, rate)
+    return lambda values: _rate_blocks(values, size, rate)
 
 
 def _checked(outcomes: list) -> list:
@@ -286,57 +254,59 @@ def _reader(outcomes_of):
 
 
 def _phase_points(decomposed, phis):
-    """The ``_points`` of one decomposed scenario repeated phase by phase."""
+    """The ``_points`` of one decomposed scenario at each phase, folded by
+    ``fold_phase``: its branches repeated phase by phase, in branch order
+    within a phase."""
     branches, (count,), (clamped,), noise = decomposed
-    return _tiled(branches, phis), [count] * len(phis), [clamped] * len(phis), noise
+    phis = [fold_phase(phi) for phi in phis]
+    return (branch_set(np.tile(branches.betas, (len(phis), 1)), np.repeat(phis, len(branches)),
+                       np.tile(branches.branch_index, len(phis))),
+            [count] * len(phis), [clamped] * len(phis), noise)
 
 
-def _sweep(spec: SweepSpec, ris_tap_closed: bool = False) -> SweepResult:
-    """Evaluate the pipeline on every grid point, in grid order; with
-    ``ris_tap_closed`` every branch has beta_f = 0 (the no-RIS equivalent).
-
-    Distance and phase grids go in blocks of ``_block_points`` points with no
-    ``Scenario`` per point, decomposed through their path-space cores (the
-    phase leaves the channels alone, so they are decomposed once); other
-    variables rebuild the scenario and its dense channels at every point.
-    A failing point's error is recorded on its row.
-    """
-    base = spec.base
-    if spec.variable is SweepVariable.DISTANCE_AB:
+def _grid(base: Scenario, variable: SweepVariable):
+    """``(size, points)`` of a grid over ``variable``, the one definition of
+    both: every driver rates ``size`` values at a time, and ``points(block)``
+    gives the ``_points`` of a block.  Distance blocks rescale the paths of the
+    base's factors.  The phase leaves the channels alone: the base is
+    decomposed once, on first use (a failure is not cached), and a block holds
+    at most ``_BLOCK_ENTRIES`` branches, per phase the smallest core dimension
+    of the three channels.  Other variables rebuild the scenario per point."""
+    if variable is SweepVariable.DISTANCE_AB:
         factors = channel_factors(base)
-        size = _block_points(factors)
-
-        def points(distances):
-            return _points(factors, [_distance_scales(base, d) for d in distances])
-    elif spec.variable is SweepVariable.RIS_PHASE:
-        # a failure is not cached: every row then carries the base's own error
+        return _block_points(factors), lambda distances: _points(
+            factors, [_distance_scales(base, d) for d in distances])
+    if variable is SweepVariable.RIS_PHASE:
         factors = channel_factors(base)
-        size = _block_points(factors)
         decomposed = functools.cache(lambda: _points(factors, _UNIT))
+        per_phase = min(min(len(r_arrival), len(r_departure))
+                        for *_, r_arrival, r_departure in factors.channels)
+        return (max(1, _BLOCK_ENTRIES // max(1, per_phase)),
+                lambda phis: _phase_points(decomposed(), phis))
+    transform = _SCENARIO_TRANSFORMS[variable]
 
-        def points(phis):  # each phase folded as RisGeometry folds it
-            return _phase_points(decomposed(), [
-                dataclasses.replace(base.ris, common_phase=phi).common_phase for phi in phis])
-    else:
-        size, transform = 1, _SCENARIO_TRANSFORMS[spec.variable]
+    def points(values):
+        # the one dense decomposition left: these variables change the
+        # steering, so every point has new factors; cores would serve them
+        # once the benchmark bounds the outputs it keeps (ROADMAP item 1)
+        scenario = transform(base, values[0])
+        branches, clamped = branch_params(decompose(build_channels(scenario)), scenario.ris)
+        return branches, [len(branches)], [clamped], noise_model(scenario)
+    return 1, points
 
-        def points(values):
-            # the one dense decomposition left: these variables change the
-            # steering, so every point has new factors; cores would serve them
-            # once the benchmark bounds the outputs it keeps (ROADMAP item 1)
-            scenario = transform(base, values[0])
-            branches, clamped = branch_params(decompose(build_channels(scenario)), scenario.ris)
-            return branches, [len(branches)], [clamped], noise_model(scenario)
-    rows = _rate_blocks(spec.grid, size, functools.partial(_block_reports, points, spec.cases,
-                                                           ris_tap_closed))
+
+def _sweep(spec: SweepSpec, size: int, points) -> SweepResult:
+    """Rate every grid point of the spec through ``(size, points)`` of a
+    ``_grid``, in grid order; a failing point's error is recorded on its row."""
+    rows = _rate_blocks(spec.grid, size, functools.partial(_block_reports, points, spec.cases))
     return SweepResult(variable=spec.variable, cases=spec.cases, rows=tuple(
         SweepRow(value, None, str(r)) if isinstance(r, Exception) else SweepRow(value, r)
-        for value, r in zip(spec.grid, rows)), scenario_digest=scenario_digest(base))
+        for value, r in zip(spec.grid, rows)), scenario_digest=scenario_digest(spec.base))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the pipeline on every grid point of the spec, in grid order."""
-    return _sweep(spec)
+    return _sweep(spec, *_grid(spec.base, spec.variable))
 
 
 @dataclass(frozen=True)
@@ -359,12 +329,7 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
-    decomposed = _points(channel_factors(base), _UNIT)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(decomposed[0])))
-
-    def totals(phis) -> list:
-        return _case_totals(phis, step, functools.partial(_phase_points, decomposed), case)
-
+    totals = _case_totals(case, *_grid(base, SweepVariable.RIS_PHASE))
     read = _reader(totals)
 
     def rate(phi: float) -> float:
@@ -480,22 +445,24 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
         raise ValueError(f"need 0 < d_min < d_max < inf, got d_min={d_min}, d_max={d_max}")
     if not grid_points >= 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    factors = channel_factors(base)
-    size = _block_points(factors)
-
-    def points(distances):
-        return _points(factors, [_distance_scales(base, d) for d in distances])
-
     grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
             for i in range(grid_points)]
-    return _last_crossing(lambda distances: _case_totals(distances, size, points, case),
-                          grid, tolerance)
+    return _last_crossing(_case_totals(case, *_grid(base, SweepVariable.DISTANCE_AB)), grid,
+                          tolerance)
 
 
 def no_ris_baseline(base: Scenario, distances=None) -> SweepResult:
-    """Key rate with the reflected path removed; only the direct-hop storage
-    case is meaningful without a RIS."""
+    """Key rate with the reflected path removed: the distance grid's points
+    with beta_f = 0 (the RIS-to-receiver tap closed).  Only the direct-hop
+    storage case is meaningful without a RIS."""
     spec = SweepSpec(variable=SweepVariable.DISTANCE_AB,
                      grid=(base.d_alice_bob,) if distances is None else distances,
                      base=base, cases=(AncillaCase.DIRECT,))
-    return _sweep(spec, ris_tap_closed=True)
+    size, points = _grid(base, spec.variable)
+
+    def tap_closed(distances):
+        branches, *rest = points(distances)
+        return (branch_set(np.where([True, True, False], branches.betas, 0.0), branches.phi,
+                           branches.branch_index), *rest)
+
+    return _sweep(spec, size, tap_closed)

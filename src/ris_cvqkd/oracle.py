@@ -13,6 +13,9 @@ symplectic matrix over the register (A, E_d, E'_d, E_g, E'_g, E_f, E'_f):
 the transmitted mode and one EPR pair per hop.  Tests check that the matrix
 is symplectic, that the output covariance is a quantum state, and that the
 ``qkd`` closed forms for that model reproduce it.
+
+``scenario_at_distance`` is the rebuilt-scenario reference for the distance
+rescale, which the drivers apply to the paths of one scenario's factors.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import PathSpec, Scenario
+from .config import GEOMETRY_RATIOS
 from .decomposition import BranchSet, _complex, branch_set
+from .experiments import _distance_scales
 from .qkd import AncillaCase, NoiseModel, NumericDomainError, Path, _abs, _sq, total_skr
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
@@ -429,3 +435,22 @@ def bona_fide_margin(v: np.ndarray) -> float:
     """
     omega = symplectic_form(v.shape[0] // 2)
     return float(np.linalg.eigvalsh(v + 1j * omega).min())
+
+
+def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec, ...]:
+    """Rescale path lengths (and delays proportionally) by a common factor."""
+    return tuple(replace(p, path_length=p.path_length * factor, delay=p.delay * factor)
+                 for p in paths)
+
+
+def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
+    """Move the endpoints apart, keeping the fixed leg ratios and rescaling
+    every path proportionally to its channel's leg."""
+    s_d, s_g, s_f = _distance_scales(base, d_ab)
+    return replace(
+        base,
+        d_alice_bob=d_ab, d_alice_ris=GEOMETRY_RATIOS[0] * d_ab,
+        d_ris_bob=GEOMETRY_RATIOS[1] * d_ab,
+        multipaths_d=_scaled_paths(base.multipaths_d, s_d),
+        multipaths_g=_scaled_paths(base.multipaths_g, s_g),
+        multipaths_f=_scaled_paths(base.multipaths_f, s_f))

@@ -30,10 +30,9 @@ from ris_cvqkd.decomposition import branch_params, decompose, make_branch
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
                                    max_secure_distance, no_ris_baseline,
                                    noise_model, optimal_phase, run_sweep,
-                                   scenario_at_distance,
                                    scenario_with_antennas,
                                    scenario_with_ris_elements)
-from ris_cvqkd.oracle import random_block, run_verification
+from ris_cvqkd.oracle import random_block, run_verification, scenario_at_distance
 from ris_cvqkd.qkd import (AncillaCase, AttackModel, NoiseModel,
                            thermal_occupation, total_skr)
 

@@ -6,8 +6,8 @@ import pytest
 
 from ris_cvqkd.channel import (ArrayGeometry, ChannelTriple, PathSpec,
                                RisGeometry, array_response, build_channels,
-                               channel_factors, cores_at, line_of_sight_path,
-                               path_loss, ris_response)
+                               channel_factors, cores_at, fold_phase,
+                               line_of_sight_path, path_loss, ris_response)
 from ris_cvqkd.config import default_scenario
 
 WAVELENGTH = 299_792_458.0 / 1e13  # 10 THz carrier
@@ -318,6 +318,24 @@ def test_ris_phase_folded():
     ris = RisGeometry(k_x=1, k_y=1, spacing_x=1e-5, spacing_y=1e-5,
                       common_phase=2.0 * math.pi + 0.25)
     assert ris.common_phase == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("phi", [-0.0, 2.0 * math.pi, -7.0, 7.0 * math.pi, 1e300])
+def test_fold_phase_is_the_ris_fold(phi):
+    # the phase drivers fold each phase without building a RisGeometry
+    ris = RisGeometry(k_x=1, k_y=1, spacing_x=1e-5, spacing_y=1e-5, common_phase=phi)
+    folded = fold_phase(phi)
+    assert 0.0 <= folded < 2.0 * math.pi
+    assert math.copysign(1.0, folded) == 1.0
+    assert folded.hex() == ris.common_phase.hex() == (phi % (2.0 * math.pi)).hex()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_fold_phase_rejects_a_phase_with_no_value(phi):
+    with pytest.raises(ValueError, match="^common_phase must be finite$"):
+        fold_phase(phi)
+    with pytest.raises(ValueError, match="^common_phase must be finite$"):
+        RisGeometry(k_x=1, k_y=1, spacing_x=1e-5, spacing_y=1e-5, common_phase=phi)
 
 
 @pytest.mark.parametrize("dbi", [5000.0, -5000.0, math.inf, math.nan])

@@ -240,6 +240,34 @@ def test_max_distance_frequency_table(tmp_path):
     assert len(lines) == 3
 
 
+def test_max_distance_output_without_grid_writes_one_row(tmp_path, capsys):
+    # the one-row table sits at the scenario's own carrier frequency
+    argv = ["max-distance", "--cases", "d,f", "--d-max", "40", "--tolerance", "0.5"]
+    assert main(argv) == 0
+    printed = [line.split(" = ")[1].removesuffix(" m")
+               for line in capsys.readouterr().out.splitlines()]
+    out = tmp_path / "reach.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
+    assert out.read_text().splitlines() == [
+        "frequency_hz,max_distance_m_d,max_distance_m_f", ",".join(["1e+13", *printed])]
+
+
+FAILING_BASES = {  # override: (exit code and stderr label of the search, the error)
+    "d_ab=1e308": (cli.EXIT_USAGE, "error", "path phase overflows at delay 3.33564e+299 s"),
+    "v_e=1e300": (cli.EXIT_NUMERIC, "numeric error", "overflow encountered in float_power"),
+}
+
+
+@pytest.mark.parametrize("override", sorted(FAILING_BASES))
+def test_phase_drivers_report_a_failing_base(override, capsys):
+    code, label, error = FAILING_BASES[override]
+    assert main(["optimize-phase", "--cases", "f", "--set", override]) == code
+    assert capsys.readouterr() == ("", f"{label}: {error}\n")
+    assert main(["sweep", "--variable", "phase", "--grid", "0:1:2", "--set", override]) == 0
+    assert capsys.readouterr() == (f"0: error: {error}\n1: error: {error}\n", "")
+
+
 def test_baseline_command(tmp_path):
     out = tmp_path / "base.csv"
     assert main(["baseline", "--grid", "5:20:3", "--output", str(out)]) == 0

@@ -12,8 +12,8 @@ from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
                                    max_secure_distance, no_ris_baseline,
                                    noise_model, optimal_phase, run_sweep,
-                                   scenario_at_distance, scenario_with_frequency,
-                                   scenario_with_ris_elements)
+                                   scenario_with_frequency, scenario_with_ris_elements)
+from ris_cvqkd.oracle import scenario_at_distance
 from ris_cvqkd.qkd import AncillaCase
 
 
@@ -429,7 +429,9 @@ def test_extreme_noise_gives_floats_or_an_error(t_e, v_s, v_e, f_c):
 def test_phase_sweep_decomposes_once(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     base = default_scenario(d_ab=20.0, **RICH)
-    # folded phases outside [0, 2*pi), two blocks, and a phase with no value
+    # folded phases outside [0, 2*pi), two blocks, and a phase with no value:
+    # 320 entries hold 10 phases of at most 32 branches
+    monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 320)
     grid = tuple(-7.0 + 0.9 * i for i in range(17)) + (math.inf,)
     result = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE, grid=grid, base=base))
     assert calls == [1] * 3
@@ -444,6 +446,25 @@ def test_phase_sweep_decomposes_once(monkeypatch):
     nan_row, = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE, grid=(math.nan,),
                                    base=base)).rows
     assert nan_row.error == "common_phase must be finite"
+
+
+def test_phase_blocks_hold_the_branch_budget(monkeypatch):
+    # 32 paths per channel bound a phase to 32 branches: the 50 phases fit
+    # one block of 1,600 branches, one total_skr call per case
+    base = default_scenario(d_ab=20.0, **RICH)
+    calls = _count_rated_branches(monkeypatch)
+    grid = tuple(2.0 * math.pi * i / 49 for i in range(50))
+    result = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE, grid=grid, base=base))
+    assert calls == [50 * 32] * 3 and max(calls) <= experiments._BLOCK_ENTRIES
+    for phi, row in zip(grid, result.rows):
+        want = evaluate_scenario(dataclasses.replace(
+            base, ris=dataclasses.replace(base.ris, common_phase=phi)))
+        for case in AncillaCase:
+            got = row.reports[case]
+            assert got.total_skr == want[case].total_skr
+            assert got.total_holevo == want[case].total_holevo
+            assert got.warnings == want[case].warnings
+            assert np.array_equal(got.rates.skr, want[case].rates.skr)
 
 
 def test_fractional_counts_are_error_rows():

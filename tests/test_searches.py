@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from ris_cvqkd import experiments
 from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (PhaseOptimum, evaluate_scenario, max_secure_distance,
-                                   optimal_phase, scenario_at_distance)
+                                   optimal_phase)
+from ris_cvqkd.oracle import scenario_at_distance
 from ris_cvqkd.qkd import AncillaCase
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
