@@ -2,8 +2,7 @@
 
 from .channel import (ArrayGeometry, ChannelFactors, ChannelTriple, PathSpec,
                       RisGeometry, Scenario, array_response, build_channels,
-                      channel_factors, cores_at, line_of_sight_path,
-                      path_loss, ris_response)
+                      channel_factors, cores_at, line_of_sight_path, ris_response)
 from .config import default_scenario, load_scenario
 from .decomposition import (BranchParams, BranchSet, SvdBundle, branch_params,
                             branch_set, decompose, make_branch)

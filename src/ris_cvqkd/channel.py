@@ -207,31 +207,20 @@ def ris_response(ris: RisGeometry, elevation, theta,
     return (np.exp(1j * phases) / math.sqrt(k)).reshape(phases.shape[:-2] + (k,))
 
 
-def path_loss(path: PathSpec, scenario: Scenario,
-              endpoint_gains: tuple[float, float], length: float | None = None) -> float:
-    """Power path loss of one path from a free-space link budget.
-
-    The spreading term uses the path length in meters; the absorption
-    exponent uses it in kilometers since the absorption coefficient is
-    quoted in dB/km.  Non-LoS paths are additionally attenuated by the
-    roughness factor and the path's Fresnel reflection coefficient.
-    ``length`` replaces the path's own length (a path rescaled by a
-    distance change).
-    """
+def _path_losses(paths: tuple[PathSpec, ...], scenario: Scenario,
+                 endpoint_gains: tuple[float, float], lengths: np.ndarray) -> np.ndarray:
+    """Power path losses of ``paths`` at the (L, P) ``lengths``, one row per
+    path: the link budget of ``oracle.path_loss``, its products in its order,
+    with ``np.float_power`` for Python's ``**`` (both call libm ``pow``;
+    ``np.power`` rounds differently)."""
     g_tx, g_rx = endpoint_gains
-    if not (g_tx > 0 and g_rx > 0):
-        raise ValueError("endpoint gains must be > 0")
-    lam = scenario.wavelength
-    d = path.path_length if length is None else length
-    try:
-        spreading = (lam / (4.0 * math.pi * d)) ** 2
-    except OverflowError:  # d below about 1.8e-160 m at 10 THz: reported as non-finite
-        spreading = math.inf
-    absorption = 10.0 ** (-0.1 * scenario.absorption_db_per_km * (d / 1000.0))
-    delta = spreading * g_tx * g_rx * absorption
-    if not path.is_los:
-        delta *= scenario.roughness * path.fresnel_coeff
-    return delta
+    nlos = [1.0 if p.is_los else scenario.roughness * p.fresnel_coeff for p in paths]
+    # d below about 1.8e-160 m at 10 THz overflows (NaN at a zero factor): reported by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        spreading = np.float_power(scenario.wavelength / (4.0 * math.pi * lengths), 2.0)
+        absorption = np.float_power(10.0, -0.1 * scenario.absorption_db_per_km
+                                    * (lengths / 1000.0))
+        return spreading * g_tx * g_rx * absorption * np.array(nlos)[:, None]
 
 
 @dataclass(frozen=True)
@@ -288,13 +277,11 @@ def _path_gains(factors: ChannelFactors, scales) -> list[np.ndarray]:
             raise ValueError(f"multipaths_{name} must contain at least one path")
         if not ((length > 0) & (length < math.inf)).all():
             raise ValueError("path_length must be finite and > 0")
-    amplitudes = []
-    for (paths, gains, *_), length, delay, phase in zip(factors.channels, lengths, delays,
-                                                        phases):
-        amplitudes.append(np.sqrt([[path_loss(p, scenario, gains, d) for d in row]
-                                   for p, row in zip(paths, length.tolist())]))
+    for delay, phase in zip(delays, phases):
         if not np.isfinite(phase).all():
             raise ValueError(f"path phase overflows at delay {delay[~np.isfinite(phase)][0]:g} s")
+    amplitudes = [np.sqrt(_path_losses(paths, scenario, gains, length))
+                  for (paths, gains, *_), length in zip(factors.channels, lengths)]
     for name, amplitude in zip("dgf", amplitudes):
         if not np.isfinite(amplitude).all():  # an overflowing path loss
             raise ValueError(f"h_{name} contains non-finite entries")

@@ -17,9 +17,8 @@ import dataclasses
 import enum
 import functools
 import hashlib
-import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .channel import (ChannelFactors, Scenario, build_channels, channel_factors,
                       fold_phase)
 from .config import GEOMETRY_RATIOS
 from .decomposition import branch_params, branch_set, decompose, pair_points, singular_values
-from .qkd import (AncillaCase, BranchRecord, NoiseModel, PairCov, SkrReport, Warnings,
-                  ordered_totals, total_skr)
+from .qkd import AncillaCase, NoiseModel, SkrReport, ordered_totals, total_skr
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # core entries of one channel's stack per block: 8 points of 32 x 32 cores;
@@ -178,21 +176,6 @@ def _block_points(factors: ChannelFactors) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, largest))
 
 
-def _split(report: SkrReport, counts, clamps) -> list[SkrReport]:
-    """The reports of consecutive runs of ``counts`` branches of a joined report,
-    each summed in branch order and warned of its own clamps and negativity."""
-    stops = [0, *itertools.accumulate(counts)]
-    negative = [0, *itertools.accumulate(report.rates.negativity_count.tolist())]
-    rates, cond = report.rates, report.conditioned
-    return [SkrReport(report.ancilla_case,
-                      BranchRecord(*(getattr(rates, f.name)[lo:hi] for f in fields(rates))),
-                      PairCov(*(tuple(x[lo:hi] if np.ndim(x) else x for x in pair)
-                                for pair in (cond.a, cond.b, cond.c))),
-                      total, Warnings(clamped, negative[hi] - negative[lo]))
-            for lo, hi, total, clamped
-            in zip(stops, stops[1:], ordered_totals(rates.skr, counts), clamps)]
-
-
 def _rate_blocks(values, size: int, rate) -> list:
     """Per-point results of a grid, ``size`` points at a time, where
     ``rate(block)`` gives a block's results in order.  A block that raises
@@ -212,7 +195,7 @@ def _block_reports(points, cases, block) -> list:
     joined branches, their counts and clamp counts per point and the noise
     model, and each case is rated once over the block."""
     branches, counts, clamps, noise = points(block)
-    reports = [_split(total_skr(case, branches, noise), counts, clamps) for case in cases]
+    reports = [total_skr(case, branches, noise).split(counts, clamps) for case in cases]
     return [dict(zip(cases, row)) for row in zip(*reports)]
 
 
@@ -268,8 +251,8 @@ def _grid(base: Scenario, variable: SweepVariable):
     """``(size, points)`` of a grid over ``variable``, the one definition of
     both: every driver rates ``size`` values at a time, and ``points(block)``
     gives the ``_points`` of a block.  Distance blocks rescale the paths of the
-    base's factors.  The phase leaves the channels alone: the base is
-    decomposed once, on first use (a failure is not cached), and a block holds
+    base's factors.  The phase leaves the channels alone: the base is rated
+    once, and every block reuses its outcome (a failure too); a block holds
     at most ``_BLOCK_ENTRIES`` branches, per phase the smallest core dimension
     of the three channels.  Other variables rebuild the scenario per point."""
     if variable is SweepVariable.DISTANCE_AB:
@@ -278,11 +261,16 @@ def _grid(base: Scenario, variable: SweepVariable):
             factors, [_distance_scales(base, d) for d in distances])
     if variable is SweepVariable.RIS_PHASE:
         factors = channel_factors(base)
-        decomposed = functools.cache(lambda: _points(factors, _UNIT))
+        decomposed = _rate_blocks(_UNIT, 1, lambda unit: [_points(factors, unit)])[0]
+        origin = getattr(decomposed, "__traceback__", None)  # kept from growing per raise
+
+        def phase_points(phis):
+            if isinstance(decomposed, Exception):
+                raise decomposed.with_traceback(origin)
+            return _phase_points(decomposed, phis)
         per_phase = min(min(len(r_arrival), len(r_departure))
                         for *_, r_arrival, r_departure in factors.channels)
-        return (max(1, _BLOCK_ENTRIES // max(1, per_phase)),
-                lambda phis: _phase_points(decomposed(), phis))
+        return max(1, _BLOCK_ENTRIES // max(1, per_phase)), phase_points
     transform = _SCENARIO_TRANSFORMS[variable]
 
     def points(values):

@@ -15,7 +15,9 @@ is symplectic, that the output covariance is a quantum state, and that the
 ``qkd`` closed forms for that model reproduce it.
 
 ``scenario_at_distance`` is the rebuilt-scenario reference for the distance
-rescale, which the drivers apply to the paths of one scenario's factors.
+rescale, which the drivers apply to the paths of one scenario's factors, and
+``path_loss`` the one-path reference of the link budget, which the channels
+evaluate as arrays.
 """
 
 from __future__ import annotations
@@ -454,3 +456,31 @@ def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
         multipaths_d=_scaled_paths(base.multipaths_d, s_d),
         multipaths_g=_scaled_paths(base.multipaths_g, s_g),
         multipaths_f=_scaled_paths(base.multipaths_f, s_f))
+
+
+def path_loss(path: PathSpec, scenario: Scenario,
+              endpoint_gains: tuple[float, float], length: float | None = None) -> float:
+    """Power path loss of one path from a free-space link budget, in Python
+    floats: the reference of ``channel._path_losses``.
+
+    The spreading term uses the path length in meters; the absorption
+    exponent uses it in kilometers since the absorption coefficient is
+    quoted in dB/km.  Non-LoS paths are additionally attenuated by the
+    roughness factor and the path's Fresnel reflection coefficient.
+    ``length`` replaces the path's own length (a path rescaled by a
+    distance change).
+    """
+    g_tx, g_rx = endpoint_gains
+    if not (g_tx > 0 and g_rx > 0):
+        raise ValueError("endpoint gains must be > 0")
+    lam = scenario.wavelength
+    d = path.path_length if length is None else length
+    try:
+        spreading = (lam / (4.0 * math.pi * d)) ** 2
+    except OverflowError:  # d below about 1.8e-160 m at 10 THz: reported as non-finite
+        spreading = math.inf
+    absorption = 10.0 ** (-0.1 * scenario.absorption_db_per_km * (d / 1000.0))
+    delta = spreading * g_tx * g_rx * absorption
+    if not path.is_los:
+        delta *= scenario.roughness * path.fresnel_coeff
+    return delta

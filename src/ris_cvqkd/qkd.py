@@ -131,7 +131,7 @@ def _abs(z):
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
-    return np.array(list(map(math.log2, x.ravel().tolist()))).reshape(x.shape)
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -329,9 +329,9 @@ def holevo_h(lam):
         raise ValueError("eigenvalue must be finite")
     eps = lam_arr - 1.0
     far = eps >= 1e-8
-    u = np.where(far, 0.5 * (lam_arr + 1.0), 1.0)
-    w = np.where(far, 0.5 * (lam_arr - 1.0), 1.0)
-    out = np.where(far, u * _log2(u) - w * _log2(w), 0.0)
+    out = np.zeros(lam_arr.shape)
+    u, w = 0.5 * (lam_arr[far] + 1.0), 0.5 * (lam_arr[far] - 1.0)
+    out[far] = u * _log2(u) - w * _log2(w)
     near = (lam_arr > 1.0) & ~far
     if near.any():
         e = eps[near]
@@ -395,6 +395,31 @@ class SkrReport:
     conditioned: PairCov
     total_skr: float
     warnings: Warnings
+    _block = _span = None  # set on a view only
+
+    def split(self, counts, clamps) -> list[SkrReport]:
+        """Views of consecutive runs of ``counts`` branches, each summed in branch
+        order and warned of its own ``clamps`` and negativity; a view slices its
+        ``rates`` and ``conditioned`` out of this report's when first read."""
+        stops = [0, *itertools.accumulate(counts)]
+        negative = [0, *itertools.accumulate(self.rates.negativity_count.tolist())]
+        views = [SkrReport.__new__(SkrReport) for _ in counts]
+        for view, lo, hi, total, clamped in zip(views, stops, stops[1:],
+                                                ordered_totals(self.rates.skr, counts), clamps):
+            vars(view).update(ancilla_case=self.ancilla_case, total_skr=total, _block=self,
+                              warnings=Warnings(clamped, negative[hi] - negative[lo]),
+                              _span=slice(lo, hi))
+        return views
+
+    def __getattr__(self, name: str):  # only for a view's unread rates and pairs
+        if self._block is None or name not in ("rates", "conditioned"):
+            raise AttributeError(name)
+        rates, cov, span = self._block.rates, self._block.conditioned, self._span
+        vars(self)[name] = value = (
+            BranchRecord(*(getattr(rates, f.name)[span] for f in fields(rates)))
+            if name == "rates" else PairCov(*(tuple(x[span] if np.ndim(x) else x for x in pair)
+                                              for pair in (cov.a, cov.b, cov.c))))
+        return value
 
     @functools.cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
@@ -404,7 +429,8 @@ class SkrReport:
 
     @property
     def total_holevo(self) -> float:
-        return sum(self.rates.holevo.tolist(), 0.0)
+        holevo = self.rates.holevo if self._block is None else self._block.rates.holevo[self._span]
+        return sum(holevo.tolist(), 0.0)
 
 
 @np.errstate(over="raise", invalid="raise")  # FloatingPointError, not a warning

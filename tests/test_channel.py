@@ -1,14 +1,19 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ris_cvqkd import channel
 from ris_cvqkd.channel import (ArrayGeometry, ChannelTriple, PathSpec,
                                RisGeometry, array_response, build_channels,
                                channel_factors, cores_at, fold_phase,
-                               line_of_sight_path, path_loss, ris_response)
+                               line_of_sight_path, ris_response)
 from ris_cvqkd.config import default_scenario
+from ris_cvqkd.oracle import path_loss
 
 WAVELENGTH = 299_792_458.0 / 1e13  # 10 THz carrier
 
@@ -190,6 +195,39 @@ def test_path_loss_rejects_nonpositive_gains():
     scenario = _scenario()
     with pytest.raises(ValueError):
         path_loss(line_of_sight_path(1.0), scenario, (0.0, 1.0))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(paths=st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+       points=st.integers(16, 128), seed=st.integers(0, 2**32 - 1),
+       absorption=st.sampled_from([0.0, 1.0, 1000.0, 4.7e4]), roughness=st.floats(0.0, 3.0),
+       frequency=st.floats(1e11, 1e14),
+       gains=st.tuples(st.floats(1e-3, 1e9), st.floats(1e-3, 1e9)))
+@example(paths=[(True, 0.5), (False, 0.0)], points=1, seed=0, absorption=1000.0,
+         roughness=1.0, frequency=1e13, gains=(1.0, 1.0))
+def test_array_link_budget_equals_scalar_reference(paths, points, seed, absorption,
+                                                   roughness, frequency, gains):
+    # every loss bit for bit as the one-path reference, from spreading that
+    # overflows to inf (below about 1e-160 m; NaN on a zero NLoS factor) to
+    # losses that underflow to 0; half the lengths lie where the absorption
+    # term is neither 1 nor 0
+    scenario = dataclasses.replace(_scenario(), absorption_db_per_km=absorption,
+                                   roughness=roughness, carrier_frequency=frequency)
+    specs = tuple(PathSpec(path_length=1.0, aod=0.0, aoa=0.0, fresnel_coeff=fresnel,
+                           is_los=los) for los, fresnel in paths)
+    rng = np.random.default_rng(seed)
+    exponents = np.where(rng.random((len(specs), points)) < 0.5,
+                         rng.uniform(-165.0, 6.0, (len(specs), points)),
+                         rng.uniform(-3.0, 3.5, (len(specs), points)))
+    lengths = 10.0 ** exponents
+    lengths[:, 0] = 1e-161  # the spreading term overflows
+    want = [[path_loss(spec, scenario, gains, d) for d in row]
+            for spec, row in zip(specs, lengths.tolist())]
+    assert _bits(channel._path_losses(specs, scenario, gains, lengths)) == _bits(want)
 
 
 def test_build_channels_single_antenna_magnitude():

@@ -1,13 +1,16 @@
+import collections
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_cvqkd import experiments
+from ris_cvqkd import channel, experiments, oracle
 from ris_cvqkd.channel import channel_factors
+from ris_cvqkd.cli import emit_csv
 from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
                                    max_secure_distance, no_ris_baseline,
@@ -41,12 +44,22 @@ RICH = dict(extra_paths_d=31, extra_paths_g=31, extra_paths_f=31,
             extra_path_angle_spread_rad=1.0, extra_path_excess_length=1.001)
 
 
-def test_distance_sweep_rows_equal_rebuilt_scenarios():
+def _bits(x) -> tuple:
+    a = np.asarray(x)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def test_distance_sweep_rows_equal_rebuilt_scenarios(tmp_path):
     # the sweep rescales the base scenario's paths; rebuilding the scenario
-    # at every point gives the same numbers bit for bit
+    # at every point gives the same numbers bit for bit.  Each row's report
+    # is a view of its block's, and writing the CSV slices none of them.
     base = default_scenario(**RICH)
     grid = (1.3, 4.0, 9.7, 33.0, 120.0)
     result = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid, base=base))
+    emit_csv(result, str(tmp_path / "sweep.csv"))
+    for row in result.rows:
+        for report in row.reports.values():
+            assert "rates" not in vars(report) and "conditioned" not in vars(report)
     for d, row in zip(grid, result.rows):
         rebuilt = evaluate_scenario(scenario_at_distance(base, d))
         for case in AncillaCase:
@@ -54,6 +67,36 @@ def test_distance_sweep_rows_equal_rebuilt_scenarios():
             assert got.total_skr == want.total_skr
             assert got.total_holevo == want.total_holevo
             assert got.warnings == want.warnings
+            for field in dataclasses.fields(want.rates):
+                assert (_bits(getattr(got.rates, field.name))
+                        == _bits(getattr(want.rates, field.name)))
+            for name in ("a", "b", "c"):
+                got_pair, want_pair = getattr(got.conditioned, name), getattr(want.conditioned, name)
+                assert list(map(_bits, got_pair)) == list(map(_bits, want_pair))
+            assert got.branches == want.branches
+
+
+def test_rich_distance_sweep_calls_no_scalar_path_loss():
+    # the channels evaluate their path losses as arrays, one call per channel
+    # and block of 8 points; the one-path reference is counted by its code
+    # object, under whatever name it would be called
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    spec = SweepSpec(variable=SweepVariable.DISTANCE_AB, base=default_scenario(**RICH),
+                     grid=tuple(np.linspace(1.0, 100.0, 100).tolist()))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run_sweep(spec)
+    finally:
+        sys.setprofile(previous)
+    assert all(row.error is None for row in result.rows)
+    assert calls[channel._path_losses.__code__] == 3 * 13
+    assert calls[oracle.path_loss.__code__] == 0
 
 
 def test_distance_sweep_records_unreachable_points():
@@ -348,6 +391,27 @@ def test_one_decomposition_per_phase_search_and_evaluation(monkeypatch):
     assert calls == [1] * 3
     evaluate_scenario(base)
     assert calls == [1] * 6
+
+
+def test_failing_phase_decomposition_is_kept(monkeypatch):
+    # the base's channels fail: they are built once, and every block, and
+    # every point a failing block is rated again by, raises the kept error
+    calls = []
+    original = experiments.cores_at
+
+    def counted(factors, scales):
+        calls.append(len(scales))
+        return original(factors, scales)
+
+    monkeypatch.setattr(experiments, "cores_at", counted)
+    base = default_scenario(d_ab=1e308)
+    with pytest.raises(ValueError, match="path phase overflows"):
+        optimal_phase(base, AncillaCase.RIS_BOB)
+    assert calls == [1]
+    rows = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE, grid=(0.0, 1.0, 2.0),
+                               base=base)).rows
+    assert calls == [1, 1]
+    assert {row.error for row in rows} == {"path phase overflows at delay 3.33564e+299 s"}
 
 
 def test_distance_blocks_equal_rebuilt_scenarios():

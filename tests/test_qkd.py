@@ -221,6 +221,34 @@ def test_holevo_h_subunity_is_vacuum():
         holevo_h(math.inf)
 
 
+def _holevo_reference(lam: float) -> float:
+    """holevo_h of one eigenvalue in Python floats, branch by branch."""
+    eps = lam - 1.0
+    if eps >= 1e-8:
+        u, w = 0.5 * (lam + 1.0), 0.5 * (lam - 1.0)
+        return u * math.log2(u) - w * math.log2(w)
+    if lam > 1.0:
+        return 0.5 * eps * (math.log2(2.0 / eps) + 1.0 / math.log(2.0))
+    return 0.0
+
+
+@pytest.mark.parametrize("values", [
+    [[1.0, 1.0 + 1e-8, 1.0 - 1e-8, 1.0 + 1e-12], [1e3, 2.5, 0.3, 1.0 + 2e-8]],
+    [1.0, 1.0 + 1e-12, 1.0 - 1e-8, 0.5],  # no far entry
+    np.linspace(1.0, 1e3, 257).tolist(),
+])
+def test_holevo_h_arrays_equal_scalar_reference(values):
+    got = holevo_h(np.array(values))
+    want = np.reshape([_holevo_reference(lam) for lam in np.ravel(values).tolist()],
+                      np.shape(values))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for lam in np.ravel(values).tolist():
+        value = holevo_h(lam)  # a 0-d input gives a float
+        assert type(value) is float and value == _holevo_reference(lam)
+        assert type(holevo_h(np.float64(lam))) is float
+
+
 # --- symplectic eigenvalues ----------------------------------------------------
 
 def test_unconditional_eigs_transparent_direct():
