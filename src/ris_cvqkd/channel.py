@@ -8,6 +8,7 @@ free-space-plus-absorption link budget.  All functions are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,8 @@ class ArrayGeometry:
     gain_per_element_dbi: float
 
     def __post_init__(self):
-        if self.element_count < 1:
-            raise ValueError("element_count must be >= 1")
+        if not _is_size(self.element_count):
+            raise ValueError("element_count must be a whole number >= 1")
         if not 0 < self.element_spacing < math.inf:
             raise ValueError("element_spacing must be finite and > 0")
         if not 0 < self.gain_linear < math.inf:
@@ -34,6 +35,11 @@ class ArrayGeometry:
     @property
     def gain_linear(self) -> float:
         return linear_gain(self.gain_per_element_dbi)
+
+
+def _is_size(n) -> bool:
+    """Whether ``n`` is a whole number of elements, at least 1."""
+    return isinstance(n, numbers.Integral) and n >= 1
 
 
 def linear_gain(dbi: float) -> float:
@@ -62,8 +68,8 @@ class RisGeometry:
     common_phase: float  # radians, folded into [0, 2*pi)
 
     def __post_init__(self):
-        if self.k_x < 1 or self.k_y < 1:
-            raise ValueError("RIS grid dimensions must be >= 1")
+        if not (_is_size(self.k_x) and _is_size(self.k_y)):
+            raise ValueError("RIS grid dimensions must be whole numbers >= 1")
         if not (0 < self.spacing_x < math.inf and 0 < self.spacing_y < math.inf):
             raise ValueError("RIS element spacings must be finite and > 0")
         object.__setattr__(self, "common_phase", fold_phase(self.common_phase))
@@ -138,6 +144,9 @@ class Scenario:
             raise ValueError("modulation_variance must be > 0")
         if self.eve_variance < 1.0:
             raise ValueError("eve_variance must be >= 1 (shot-noise units)")
+        for name in ("roughness", "absorption_db_per_km"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("d_alice_bob", "d_alice_ris", "d_ris_bob"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")

@@ -2,8 +2,10 @@
 
 The schema is a fixed set of unit-suffixed keys; unknown keys are rejected
 with the full list of valid ones, and a key whose stem matches a known key
-with a different unit suffix gets a targeted message.  Values omitted from a
-file take the documented defaults.  Extra non-line-of-sight paths are
+with a different unit suffix gets a targeted message.  A key's schema row
+holds its type, default and domain, and every entry point (file, override,
+keyword) reaches ``make_scenario``, which applies all three.  Values omitted
+take the documented defaults.  Extra non-line-of-sight paths are
 generated deterministically from count/spread/excess parameters so configs
 stay flat and diff-friendly.
 """
@@ -17,35 +19,44 @@ from .channel import (ArrayGeometry, PathSpec, RisGeometry, Scenario,
 
 GEOMETRY_RATIOS = (0.4, 0.7)  # (alice-ris, ris-bob) legs as fractions of d_ab
 
-# canonical key -> (type, default); None defaults are derived after parsing
-SCHEMA: dict[str, tuple[type, object]] = {
-    "carrier_frequency_hz": (float, 1e13),
-    "temperature_k": (float, 300.0),
-    "absorption_db_per_km": (float, 1000.0),
-    "roughness": (float, 1.0),
-    "fresnel_coeff": (float, 0.5),
-    "modulation_variance_snu": (float, 1000.0),
-    "eve_variance_snu": (float, 1.0),
-    "tx_antennas": (int, 32),
-    "rx_antennas": (int, 32),
-    "antenna_gain_dbi": (float, 30.0),
-    "antenna_spacing_wavelengths": (float, 0.5),
-    "ris_elements_x": (int, 10),
-    "ris_elements_y": (int, 10),
-    "ris_spacing_x_wavelengths": (float, 0.5),
-    "ris_spacing_y_wavelengths": (float, 0.5),
-    "ris_phase_rad": (float, math.pi / 4),
-    "ris_elevation_rad": (float, 0.0),
-    "distance_alice_bob_m": (float, 10.0),
-    "distance_alice_ris_m": (float, None),  # default: GEOMETRY_RATIOS[0] * d_ab
-    "distance_ris_bob_m": (float, None),  # default: GEOMETRY_RATIOS[1] * d_ab
-    "los_aod_rad": (float, 0.0),
-    "los_aoa_rad": (float, 0.0),
-    "extra_paths_d": (int, 0),
-    "extra_paths_g": (int, 0),
-    "extra_paths_f": (int, 0),
-    "extra_path_angle_spread_rad": (float, 0.5),
-    "extra_path_excess_length": (float, 1.05),
+# domains: (valid, message); a rejected value's error is "<key> <message>"
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+_FINITE = (math.isfinite, "must be finite")
+_SIZE = (lambda v: v >= 1, "must be >= 1")
+_COUNT = (lambda v: v >= 0, "must be >= 0")
+
+# canonical key -> (type, default, domain); None defaults are derived after parsing
+SCHEMA: dict[str, tuple[type, object, tuple]] = {
+    "carrier_frequency_hz": (float, 1e13, _POSITIVE),
+    "temperature_k": (float, 300.0, _POSITIVE),
+    "absorption_db_per_km": (float, 1000.0, _NONNEGATIVE),
+    "roughness": (float, 1.0, _NONNEGATIVE),
+    # checked whether or not a scattered path uses it, as is the spread
+    "fresnel_coeff": (float, 0.5, (lambda v: 0 <= v <= 1, "must lie in [0, 1]")),
+    "modulation_variance_snu": (float, 1000.0, _POSITIVE),
+    "eve_variance_snu": (float, 1.0, (lambda v: 1 <= v < math.inf, "must be finite and >= 1")),
+    "tx_antennas": (int, 32, _SIZE),
+    "rx_antennas": (int, 32, _SIZE),
+    "antenna_gain_dbi": (float, 30.0, (lambda v: 0 < linear_gain(v) < math.inf,
+                                       "must give a linear gain that is finite and > 0")),
+    "antenna_spacing_wavelengths": (float, 0.5, _POSITIVE),
+    "ris_elements_x": (int, 10, _SIZE),
+    "ris_elements_y": (int, 10, _SIZE),
+    "ris_spacing_x_wavelengths": (float, 0.5, _POSITIVE),
+    "ris_spacing_y_wavelengths": (float, 0.5, _POSITIVE),
+    "ris_phase_rad": (float, math.pi / 4, _FINITE),
+    "ris_elevation_rad": (float, 0.0, _FINITE),
+    "distance_alice_bob_m": (float, 10.0, _POSITIVE),
+    "distance_alice_ris_m": (float, None, _POSITIVE),  # default: GEOMETRY_RATIOS[0] * d_ab
+    "distance_ris_bob_m": (float, None, _POSITIVE),  # default: GEOMETRY_RATIOS[1] * d_ab
+    "los_aod_rad": (float, 0.0, _FINITE),
+    "los_aoa_rad": (float, 0.0, _FINITE),
+    "extra_paths_d": (int, 0, _COUNT),
+    "extra_paths_g": (int, 0, _COUNT),
+    "extra_paths_f": (int, 0, _COUNT),
+    "extra_path_angle_spread_rad": (float, 0.5, _FINITE),
+    "extra_path_excess_length": (float, 1.05, _POSITIVE),
 }
 
 ALIASES = {
@@ -78,17 +89,15 @@ def _resolve_key(key: str) -> str:
     raise ConfigError(f"unknown key {key!r}; valid keys: {valid}")
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw):
+    """``raw``, a string or a number, as a value of the key's type."""
     kind = SCHEMA[key][0]
-    raw = raw.strip()
     try:
-        if kind is int:
-            value = float(raw)
-            if value != int(value):
-                raise ValueError
-            return int(value)
-        return float(raw)
-    except (ValueError, OverflowError):  # int() of nan, inf
+        value = float(raw)
+        if kind is int and value != int(value):
+            raise ValueError
+        return kind(value)
+    except (ValueError, OverflowError, TypeError):  # int() of nan, inf; float() of None
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
 
 
@@ -121,7 +130,7 @@ def apply_overrides(params: dict, overrides) -> dict:
 
 def resolve_params(params: dict) -> dict:
     """Fill defaults and the distance-derived values."""
-    full = {key: default for key, (_, default) in SCHEMA.items()}
+    full = {key: default for key, (_, default, _) in SCHEMA.items()}
     full.update(params)
     d_ab = full["distance_alice_bob_m"]
     if full["distance_alice_ris_m"] is None:
@@ -165,36 +174,15 @@ def _extra_paths(count: int, base_length: float, spread: float, excess: float,
 
 
 def make_scenario(params: dict) -> Scenario:
-    """Build the scenario value from resolved parameters."""
-    p = resolve_params(params)
-    # checked here so the message names the key, not a derived value
-    for key in ("carrier_frequency_hz", "temperature_k", "modulation_variance_snu",
-                "antenna_spacing_wavelengths", "ris_spacing_x_wavelengths",
-                "ris_spacing_y_wavelengths", "extra_path_excess_length",
-                "distance_alice_bob_m", "distance_alice_ris_m", "distance_ris_bob_m"):
-        if not 0 < p[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0")
-    for key in ("tx_antennas", "rx_antennas", "ris_elements_x", "ris_elements_y"):
-        if p[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("ris_phase_rad", "ris_elevation_rad", "los_aod_rad", "los_aoa_rad"):
-        if not math.isfinite(p[key]):
-            raise ConfigError(f"{key} must be finite")
-    if not 1 <= p["eve_variance_snu"] < math.inf:
-        raise ConfigError("eve_variance_snu must be finite and >= 1")
-    for key in ("roughness", "absorption_db_per_km"):
-        if not 0 <= p[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0")
-    for key in ("extra_paths_d", "extra_paths_g", "extra_paths_f"):
-        if p[key] < 0:
-            raise ConfigError(f"{key} must be >= 0")
-    if not 0 < linear_gain(p["antenna_gain_dbi"]) < math.inf:
-        raise ConfigError("antenna_gain_dbi must give a linear gain that is finite and > 0")
-    # checked whether or not a scattered path uses them
-    if not 0 <= p["fresnel_coeff"] <= 1:
-        raise ConfigError("fresnel_coeff must lie in [0, 1]")
-    if not math.isfinite(p["extra_path_angle_spread_rad"]):
-        raise ConfigError("extra_path_angle_spread_rad must be finite")
+    """Build the scenario value from parameters on schema keys or aliases: each
+    value, a string or a number, is coerced to its key's type, and every
+    resolved value is checked against its key's domain, so an error names
+    the key and not a derived value."""
+    params = {_resolve_key(key): value for key, value in params.items()}
+    p = resolve_params({key: _parse_value(key, value) for key, value in params.items()})
+    for key, (_, _, (valid, message)) in SCHEMA.items():
+        if not valid(p[key]):
+            raise ConfigError(f"{key} {message}")
     wavelength = 299_792_458.0 / p["carrier_frequency_hz"]
     tx = ArrayGeometry(element_count=p["tx_antennas"],
                        element_spacing=p["antenna_spacing_wavelengths"] * wavelength,
@@ -257,7 +245,4 @@ def load_scenario(path: str, overrides=None) -> tuple[Scenario, dict]:
 
 def default_scenario(**overrides) -> Scenario:
     """Reference configuration with optional keyword overrides on schema keys."""
-    params = {}
-    for key, value in overrides.items():
-        params[_resolve_key(key)] = value
-    return make_scenario(params)
+    return make_scenario(overrides)

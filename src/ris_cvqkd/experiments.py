@@ -26,7 +26,7 @@ from .channel import (ChannelFactors, Scenario, build_channels, channel_factors,
                       fold_phase)
 from .config import GEOMETRY_RATIOS
 from .decomposition import branch_params, branch_set, decompose, pair_points, singular_values
-from .qkd import AncillaCase, NoiseModel, SkrReport, ordered_totals, total_skr
+from .qkd import AncillaCase, NoiseModel, SkrReport, total_skr
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # core entries of one channel's stack per block: 8 points of 32 x 32 cores;
@@ -102,8 +102,7 @@ def _points(factors: ChannelFactors, scales):
 def evaluate_scenario(scenario: Scenario,
                       cases=tuple(AncillaCase)) -> dict[AncillaCase, SkrReport]:
     """Full pipeline: channels -> branch decomposition -> per-case key rate."""
-    branches, _, (clamped,), noise = _points(channel_factors(scenario), _UNIT)
-    return {case: total_skr(case, branches, noise, clamped) for case in cases}
+    return _block_reports(functools.partial(_points, channel_factors(scenario)), cases, _UNIT)[0]
 
 
 def _distance_scales(base: Scenario, d_ab: float) -> tuple[float, float, float]:
@@ -195,17 +194,17 @@ def _block_reports(points, cases, block) -> list:
     joined branches, their counts and clamp counts per point and the noise
     model, and each case is rated once over the block."""
     branches, counts, clamps, noise = points(block)
-    reports = [total_skr(case, branches, noise).split(counts, clamps) for case in cases]
-    return [dict(zip(cases, row)) for row in zip(*reports)]
+    reports = {case: total_skr(case, branches, noise).split(counts, clamps) for case in cases}
+    return [{case: reports[case][i] for case in cases} for i in range(len(counts))]
 
 
 def _case_totals(case: AncillaCase, size: int, points):
     """``totals(values)``: per-point totals of one case over values of a
-    ``_grid``'s ``(size, points)``, in its blocks as the sweeps rate them, read
-    straight from each block's branch rates; a failing point gives its exception."""
+    ``_grid``'s ``(size, points)``, by ``SkrReport.totals`` of each block as
+    the sweeps rate it; a failing point gives its exception."""
     def rate(block):
         branches, counts, _, noise = points(block)
-        return ordered_totals(total_skr(case, branches, noise).rates.skr, counts)
+        return total_skr(case, branches, noise).totals(counts)
 
     return lambda values: _rate_blocks(values, size, rate)
 

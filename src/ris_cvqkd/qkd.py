@@ -365,15 +365,6 @@ class BranchRecord:
     negativity_count: int
 
 
-def ordered_totals(values: np.ndarray, counts) -> list[float]:
-    """Sums of consecutive runs of ``counts`` values, each added left to
-    right in Python floats: a pairwise ``np.sum`` would break criterion 8
-    (duplicated branches add exactly) and criterion 10 (stable bytes)."""
-    it = iter(values.tolist())
-    return [functools.reduce(operator.add, itertools.islice(it, count), 0.0)
-            for count in counts]
-
-
 @dataclass(frozen=True)
 class Warnings:
     beta_clamped: int = 0
@@ -386,59 +377,65 @@ class Warnings:
 
 @dataclass(frozen=True, eq=False)
 class SkrReport:
-    """Key rates of a branch set: ``rates`` holds every ``BranchRecord``
-    field as an array in branch order, ``conditioned`` the conditioned
-    stored pairs; the per-branch records are built when first read."""
+    """Key rates of a span of branches of a rated block.  ``_rated`` holds the
+    block's ``BranchRecord`` fields as arrays in branch order and its
+    conditioned stored pairs; the span's rates, pairs, records and total are
+    sliced and summed from it when first read."""
 
     ancilla_case: AncillaCase
-    rates: BranchRecord
-    conditioned: PairCov
-    total_skr: float
     warnings: Warnings
-    _block = _span = None  # set on a view only
+    _rated: tuple[BranchRecord, PairCov]
+    _span: slice
+
+    def totals(self, counts) -> list[float]:
+        """Sums of consecutive runs of ``counts`` branch rates of the span, each
+        added left to right in Python floats: a pairwise ``np.sum`` would break
+        criterion 8 (duplicated branches add exactly) and criterion 10 (stable
+        bytes)."""
+        it = iter(self._rated[0].skr[self._span].tolist())
+        return [functools.reduce(operator.add, itertools.islice(it, count), 0.0)
+                for count in counts]
 
     def split(self, counts, clamps) -> list[SkrReport]:
-        """Views of consecutive runs of ``counts`` branches, each summed in branch
-        order and warned of its own ``clamps`` and negativity; a view slices its
-        ``rates`` and ``conditioned`` out of this report's when first read."""
-        stops = [0, *itertools.accumulate(counts)]
-        negative = [0, *itertools.accumulate(self.rates.negativity_count.tolist())]
-        views = [SkrReport.__new__(SkrReport) for _ in counts]
-        for view, lo, hi, total, clamped in zip(views, stops, stops[1:],
-                                                ordered_totals(self.rates.skr, counts), clamps):
-            vars(view).update(ancilla_case=self.ancilla_case, total_skr=total, _block=self,
-                              warnings=Warnings(clamped, negative[hi] - negative[lo]),
-                              _span=slice(lo, hi))
-        return views
-
-    def __getattr__(self, name: str):  # only for a view's unread rates and pairs
-        if self._block is None or name not in ("rates", "conditioned"):
-            raise AttributeError(name)
-        rates, cov, span = self._block.rates, self._block.conditioned, self._span
-        vars(self)[name] = value = (
-            BranchRecord(*(getattr(rates, f.name)[span] for f in fields(rates)))
-            if name == "rates" else PairCov(*(tuple(x[span] if np.ndim(x) else x for x in pair)
-                                              for pair in (cov.a, cov.b, cov.c))))
-        return value
+        """Reports of consecutive runs of ``counts`` branches of this span, each
+        warned of its own ``clamps`` and negativity: the one place clamped
+        transmissivities are attached."""
+        stops = list(itertools.accumulate(counts, initial=self._span.start))
+        negative = list(itertools.accumulate(self._rated[0].negativity_count.tolist(), initial=0))
+        return [SkrReport(self.ancilla_case, Warnings(clamped, negative[hi] - negative[lo]),
+                          self._rated, slice(lo, hi))
+                for lo, hi, clamped in zip(stops, stops[1:], clamps)]
 
     @functools.cached_property
-    def branches(self) -> tuple[BranchRecord, ...]:
-        columns = [getattr(self.rates, f.name).tolist()
-                   for f in fields(BranchRecord)]
-        return tuple(BranchRecord(*row) for row in zip(*columns))
+    def total_skr(self) -> float:
+        return self.totals([self._span.stop - self._span.start])[0]
 
     @property
     def total_holevo(self) -> float:
-        holevo = self.rates.holevo if self._block is None else self._block.rates.holevo[self._span]
-        return sum(holevo.tolist(), 0.0)
+        return sum(self._rated[0].holevo[self._span].tolist(), 0.0)
+
+    @functools.cached_property
+    def rates(self) -> BranchRecord:
+        return BranchRecord(*(getattr(self._rated[0], f.name)[self._span]
+                              for f in fields(BranchRecord)))
+
+    @functools.cached_property
+    def conditioned(self) -> PairCov:
+        cov = self._rated[1]
+        return PairCov(*(tuple(x[self._span] if np.ndim(x) else x for x in pair)
+                         for pair in (cov.a, cov.b, cov.c)))
+
+    @functools.cached_property
+    def branches(self) -> tuple[BranchRecord, ...]:
+        columns = [getattr(self.rates, f.name).tolist() for f in fields(BranchRecord)]
+        return tuple(BranchRecord(*row) for row in zip(*columns))
 
 
 @np.errstate(over="raise", invalid="raise")  # FloatingPointError, not a warning
-def total_skr(case: AncillaCase, branches, n: NoiseModel,
-              beta_clamp_count: int = 0,
+def total_skr(case: AncillaCase, branches, n: NoiseModel, *,
               model: AttackModel = AttackModel.PAPER) -> SkrReport:
-    """Reverse-reconciliation key rate of every branch in one pass, summed
-    in branch order.
+    """Reverse-reconciliation key rate of every branch in one pass, as the
+    report of the whole set.
 
     ``branches`` is a ``BranchSet`` of one branch or many, or a sequence of
     them; the noise variances are scalars or one value per branch.  The
@@ -457,7 +454,5 @@ def total_skr(case: AncillaCase, branches, n: NoiseModel,
     holevo = h1 + h2 - h3 - h4
     rates = BranchRecord(b.branch_index, i_d, i_r, holevo, *lams, i_d + i_r - holevo,
                          (lams < 1.0 - NEGATIVITY_TOL).sum(axis=0))
-    return SkrReport(ancilla_case=case, rates=rates, conditioned=cond,
-                     total_skr=ordered_totals(rates.skr, [len(b)])[0],
-                     warnings=Warnings(beta_clamped=beta_clamp_count,
-                                       eigen_negativity=int(rates.negativity_count.sum())))
+    return SkrReport(case, Warnings(eigen_negativity=int(rates.negativity_count.sum())),
+                     (rates, cond), slice(0, len(b)))

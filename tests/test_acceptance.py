@@ -131,7 +131,7 @@ def test_criterion_4_thermal_noise():
 def test_criterion_5_phase_argmax():
     base = scenario_at_distance(default_scenario(), 5.0)
     bundles = decompose(build_channels(base))
-    branches, clamped = branch_params(bundles, base.ris)
+    branches, _ = branch_params(bundles, base.ris)
     noise = noise_model(base)
     grid = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     step = 2.0 * math.pi / 256
@@ -141,7 +141,7 @@ def test_criterion_5_phase_argmax():
         for phi in grid:
             swapped = [make_branch(b.beta_d, b.beta_g, b.beta_f, float(phi),
                                    b.branch_index) for b in branches]
-            values.append(total_skr(case, swapped, noise, clamped).total_skr)
+            values.append(total_skr(case, swapped, noise).total_skr)
         return float(grid[int(np.argmax(values))])
 
     def circular_distance(a, b):

@@ -342,6 +342,28 @@ def test_scenario_validation():
                     common_phase=0.0)
 
 
+@pytest.mark.parametrize("count", [32.5, 4.0, 0])
+def test_array_and_ris_sizes_are_whole_numbers(count):
+    with pytest.raises(ValueError, match="^element_count must be a whole number >= 1$"):
+        ArrayGeometry(element_count=count, element_spacing=1e-5, gain_per_element_dbi=30.0)
+    with pytest.raises(ValueError, match="^RIS grid dimensions must be whole numbers >= 1$"):
+        RisGeometry(k_x=2, k_y=count, spacing_x=1e-5, spacing_y=1e-5, common_phase=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("paths", [0, 1])
+@pytest.mark.parametrize("name, value", [
+    ("roughness", -1.0), ("roughness", math.nan), ("roughness", math.inf),
+    ("absorption_db_per_km", -1.0), ("absorption_db_per_km", math.nan),
+])
+def test_scenario_rejects_negative_or_nonfinite_link_terms(paths, name, value):
+    # a negative roughness took a square root of a negative, a negative
+    # absorption became a gain, and a NaN roughness passed line of sight
+    base = default_scenario(extra_paths_d=paths)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+        dataclasses.replace(base, **{name: value})
+
+
 def test_channel_triple_accepts_strided_views():
     h = np.arange(6, dtype=complex).reshape(2, 3) * (1 + 1j)
     t = ChannelTriple(h_d=h, h_g=h.T, h_f=h[:, ::2])

@@ -1,11 +1,12 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ris_cvqkd.cli import main
-from ris_cvqkd.config import (ConfigError, apply_overrides, default_scenario,
+from ris_cvqkd.config import (SCHEMA, ConfigError, apply_overrides, default_scenario,
                               load_scenario, make_scenario, parse_config_text,
                               serialize_params)
 
@@ -177,3 +178,54 @@ def test_geometry_key_rejected_by_name(capsys, key, value, message):
     # these used to fail downstream with a message naming a derived value
     assert main(["skr", "--set", f"{key}={value}"]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+def test_every_key_rejects_a_value_outside_its_domain(tmp_path, capsys, key):
+    # the same message from a file, an override and a keyword
+    _, _, (valid, message) = SCHEMA[key]
+    bad = next(value for value in (-1, math.nan) if not valid(value))
+    message = f"{key} {message}"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {bad}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_scenario(str(path))
+    assert main(["skr", "--set", f"{key}={bad}"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        default_scenario(**{key: bad})
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("tx_antennas", 32.5, "tx_antennas"), ("ris_elements_x", 10.5, "ris_elements_x"),
+    ("extra_paths_d", 1.5, "extra_paths_d"), ("d_ab", "x", "distance_alice_bob_m"),
+])
+def test_keyword_value_takes_the_key_type(key, value, name):
+    # a keyword goes through the type rule of a file or override value
+    with pytest.raises(ConfigError, match=f"^cannot parse value {value!r} for key {name!r}$"):
+        default_scenario(**{key: value})
+
+
+def test_keyword_value_is_coerced_to_the_key_type():
+    scenario = default_scenario(tx_antennas=16.0, d_ab="20")
+    assert type(scenario.tx.element_count) is int and scenario.tx.element_count == 16
+    assert scenario == default_scenario(tx_antennas=16, d_ab=20.0)
+
+
+def _valid_values(key: str) -> str:
+    """The README's valid-values cell of a key, from its schema row."""
+    kind, _, (_, message) = SCHEMA[key]
+    return ("whole number, " if kind is int else "") + re.sub(r"^must (be |lie )?", "", message)
+
+
+def test_readme_schema_table_lists_every_key_and_its_domain():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys_cell, _, valid_cell = (cell.strip() for cell in line.split("|")[1:4])
+            keys = re.findall(r"`(\w+)`", keys_cell)
+            assert {_valid_values(key) for key in keys} == {valid_cell}, line
+            listed += keys
+    assert sorted(listed) == sorted(SCHEMA)

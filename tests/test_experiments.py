@@ -49,6 +49,15 @@ def _bits(x) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def _assert_same_rates(got, want):
+    """Equal totals, warnings and per-branch rates, bit for bit."""
+    assert got.total_skr == want.total_skr
+    assert got.total_holevo == want.total_holevo
+    assert got.warnings == want.warnings
+    for field in dataclasses.fields(want.rates):
+        assert _bits(getattr(got.rates, field.name)) == _bits(getattr(want.rates, field.name))
+
+
 def test_distance_sweep_rows_equal_rebuilt_scenarios(tmp_path):
     # the sweep rescales the base scenario's paths; rebuilding the scenario
     # at every point gives the same numbers bit for bit.  Each row's report
@@ -64,16 +73,24 @@ def test_distance_sweep_rows_equal_rebuilt_scenarios(tmp_path):
         rebuilt = evaluate_scenario(scenario_at_distance(base, d))
         for case in AncillaCase:
             got, want = row.reports[case], rebuilt[case]
-            assert got.total_skr == want.total_skr
-            assert got.total_holevo == want.total_holevo
-            assert got.warnings == want.warnings
-            for field in dataclasses.fields(want.rates):
-                assert (_bits(getattr(got.rates, field.name))
-                        == _bits(getattr(want.rates, field.name)))
+            _assert_same_rates(got, want)
             for name in ("a", "b", "c"):
                 got_pair, want_pair = getattr(got.conditioned, name), getattr(want.conditioned, name)
                 assert list(map(_bits, got_pair)) == list(map(_bits, want_pair))
             assert got.branches == want.branches
+
+
+@pytest.mark.parametrize("overrides, branches, clamped", [
+    ({}, 1, 0), ({"d_ab": 1e-3}, 1, 3), ({"d_ab": 1e4}, 0, 0), (RICH, 32, 0),
+], ids=["default", "clamped", "zero-branch", "32-path"])
+def test_scenario_rating_equals_one_row_phase_sweep(overrides, branches, clamped):
+    # a scenario's own rating is the one-point block every sweep row comes from
+    scenario = default_scenario(**overrides)
+    row, = run_sweep(SweepSpec(variable=SweepVariable.RIS_PHASE,
+                               grid=(scenario.ris.common_phase,), base=scenario)).rows
+    for case, want in evaluate_scenario(scenario).items():
+        assert (len(want.rates.skr), want.warnings.beta_clamped) == (branches, clamped)
+        _assert_same_rates(row.reports[case], want)
 
 
 def test_rich_distance_sweep_calls_no_scalar_path_loss():
@@ -175,12 +192,12 @@ def test_optimal_phase_dominates_grid_samples():
     for case in AncillaCase:
         opt = optimal_phase(base, case, resolution=math.pi / 64)
         bundles = decompose(build_channels(base))
-        branches, clamped = branch_params(bundles, base.ris)
+        branches, _ = branch_params(bundles, base.ris)
         noise = noise_model(base)
         for phi in np.linspace(0.0, math.pi, 65):
             swapped = [make_branch(b.beta_d, b.beta_g, b.beta_f, float(phi),
                                    b.branch_index) for b in branches]
-            sample = total_skr(case, swapped, noise, clamped).total_skr
+            sample = total_skr(case, swapped, noise).total_skr
             assert opt.skr_star >= sample - 1e-15
 
 
@@ -331,11 +348,10 @@ def test_baseline_matches_closed_tap_equivalence():
     base = default_scenario()
     scenario = scenario_at_distance(base, 10.0)
     bundles = decompose(build_channels(scenario))
-    branches, clamped = branch_params(bundles, scenario.ris)
+    branches, _ = branch_params(bundles, scenario.ris)
     forced = [make_branch(b.beta_d, b.beta_g, 0.0, b.phi, b.branch_index)
               for b in branches]
-    expected = total_skr(AncillaCase.DIRECT, forced, noise_model(scenario),
-                         clamped).total_skr
+    expected = total_skr(AncillaCase.DIRECT, forced, noise_model(scenario)).total_skr
     result = no_ris_baseline(base, distances=(10.0,))
     assert result.rows[0].reports[AncillaCase.DIRECT].total_skr == expected
 

@@ -164,8 +164,9 @@ def test_run_verification_detects_corrupted_closed_form(monkeypatch):
         report = qkd.total_skr(case, branches, noise)
         if case is not AncillaCase.ALICE_RIS:
             return report
-        rates = dataclasses.replace(report.rates, lambda_1=-report.rates.lambda_1)
-        return dataclasses.replace(report, rates=rates)
+        rates, cond = report._rated
+        rates = dataclasses.replace(rates, lambda_1=-rates.lambda_1)
+        return dataclasses.replace(report, _rated=(rates, cond))
 
     monkeypatch.setattr(oracle, "total_skr", flip_sign)
     results = run_verification(50, seed=42)

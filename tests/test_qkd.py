@@ -466,7 +466,7 @@ def test_total_skr_report_counters():
     n = noise(v_e=1.0)
     # reflected tap dips below vacuum here: negativity is counted, not fatal
     b = make_branch(0.5, 1e-6, 0.5, 0.0)
-    report = total_skr(AncillaCase.RIS_BOB, [b], n, beta_clamp_count=2)
+    report, = total_skr(AncillaCase.RIS_BOB, [b], n).split([1], [2])
     assert report.warnings.beta_clamped == 2
     assert report.warnings.eigen_negativity >= 1
     assert report.warnings.total >= 3
@@ -537,7 +537,7 @@ def test_total_skr_is_the_only_rating_entry_point():
     public = {name for name, obj in vars(qkd).items()
               if inspect.isfunction(obj) and obj.__module__ == qkd.__name__
               and not name.startswith("_")}
-    assert public == {"thermal_occupation", "holevo_h", "ordered_totals", "total_skr"}
+    assert public == {"thermal_occupation", "holevo_h", "total_skr"}
     retired = {"branch_skr", "bob_variances", "eve_output_variance", "eve_cov",
                "conditional_cov", "symplectic_eigs_unconditional",
                "symplectic_eigs_conditional", "mutual_info_ab"}
