@@ -130,28 +130,28 @@ class Scenario:
     temperature: float  # kelvin
     modulation_variance: float  # shot-noise units
     eve_variance: float  # shot-noise units
-    d_alice_bob: float  # meters
-    d_alice_ris: float
-    d_ris_bob: float
-    multipaths_d: tuple[PathSpec, ...] = field(default_factory=tuple)
-    multipaths_g: tuple[PathSpec, ...] = field(default_factory=tuple)
-    multipaths_f: tuple[PathSpec, ...] = field(default_factory=tuple)
+    d_alice_bob: float = field(init=False)  # meters; a leg is its channel's first path
+    d_alice_ris: float = field(init=False)
+    d_ris_bob: float = field(init=False)
+    multipaths_d: tuple[PathSpec, ...]
+    multipaths_g: tuple[PathSpec, ...]
+    multipaths_f: tuple[PathSpec, ...]
 
     def __post_init__(self):
-        if not 0 < self.carrier_frequency < math.inf:
-            raise ValueError("carrier_frequency must be finite and > 0")
-        if not self.modulation_variance > 0:
-            raise ValueError("modulation_variance must be > 0")
-        if self.eve_variance < 1.0:
-            raise ValueError("eve_variance must be >= 1 (shot-noise units)")
+        for name in ("carrier_frequency", "temperature", "modulation_variance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 1.0 <= self.eve_variance < math.inf:
+            raise ValueError("eve_variance must be finite and >= 1 (shot-noise units)")
         for name in ("roughness", "absorption_db_per_km"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("d_alice_bob", "d_alice_ris", "d_ris_bob"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("multipaths_d", "multipaths_g", "multipaths_f"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for leg, name in zip(("d_alice_bob", "d_alice_ris", "d_ris_bob"), "dgf"):
+            paths = tuple(getattr(self, f"multipaths_{name}"))
+            if not paths:
+                raise ValueError(f"multipaths_{name} must contain at least one path")
+            object.__setattr__(self, f"multipaths_{name}", paths)
+            object.__setattr__(self, leg, paths[0].path_length)
 
     @property
     def wavelength(self) -> float:
@@ -269,21 +269,18 @@ def channel_factors(scenario: Scenario) -> ChannelFactors:
 
 def _path_gains(factors: ChannelFactors, scales) -> list[np.ndarray]:
     """Each channel's (L, P) complex path gains sqrt(path loss) *
-    exp(j*2*pi*f_c*delay) at the P triples in ``scales``; at triple j, the
-    i-th channel's path lengths and delays are scaled by ``scales[j][i]``.
+    exp(j*2*pi*f_c*delay) at the P scales in ``scales``; at scale j, every
+    path length and delay of every channel is scaled by ``scales[j]``.
     Every length, phase and amplitude is checked before a gain is formed."""
     scenario = factors.scenario
     turn = 2.0 * math.pi * scenario.carrier_frequency
-    channels = [(paths, np.array(column)) for (paths, *_), column
-                in zip(factors.channels, zip(*scales))]
+    channel_paths = [paths for paths, *_ in factors.channels]
     with np.errstate(over="ignore"):  # reported by the checks below
         # (L, P) per channel: the same products as point by point
-        lengths = [np.multiply.outer([p.path_length for p in paths], c) for paths, c in channels]
-        delays = [np.multiply.outer([p.delay for p in paths], c) for paths, c in channels]
+        lengths = [np.multiply.outer([p.path_length for p in ps], scales) for ps in channel_paths]
+        delays = [np.multiply.outer([p.delay for p in ps], scales) for ps in channel_paths]
         phases = [turn * delay for delay in delays]
-    for name, (paths, _), length in zip("dgf", channels, lengths):
-        if not paths:
-            raise ValueError(f"multipaths_{name} must contain at least one path")
+    for length in lengths:
         if not ((length > 0) & (length < math.inf)).all():
             raise ValueError("path_length must be finite and > 0")
     for delay, phase in zip(delays, phases):
@@ -299,7 +296,7 @@ def _path_gains(factors: ChannelFactors, scales) -> list[np.ndarray]:
 
 def cores_at(factors: ChannelFactors, scales) -> list[np.ndarray]:
     """The path-space cores of the direct, transmitter-to-RIS and
-    RIS-to-receiver channels at the P triples in ``scales`` (as for
+    RIS-to-receiver channels at the P scales in ``scales`` (as for
     ``_path_gains``), each a (P, min(n, L), min(m, L)) stack.
 
     With arrival rows A, conjugated departure rows B and path gains c, a
@@ -331,6 +328,6 @@ def build_channels(scenario: Scenario) -> ChannelTriple:
     conjugated departure row, in path order (a single matmul over paths
     would round differently)."""
     factors = channel_factors(scenario)
-    gains = _path_gains(factors, [(1.0, 1.0, 1.0)])
+    gains = _path_gains(factors, [1.0])
     return ChannelTriple(*(_summed(c[:, 0], arrival, departure)
                            for c, (_, _, arrival, departure, *_) in zip(gains, factors.channels)))

@@ -102,8 +102,9 @@ def _parse_value(key: str, raw):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    params: dict = {}
+    """Parse ``key = value`` lines; '#' starts a comment.  A key may be set
+    once, under its schema name or an alias."""
+    params, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -112,6 +113,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         key = _resolve_key(key)
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         params[key] = _parse_value(key, raw)
     return params
 
@@ -213,9 +218,6 @@ def make_scenario(params: dict) -> Scenario:
         temperature=p["temperature_k"],
         modulation_variance=p["modulation_variance_snu"],
         eve_variance=p["eve_variance_snu"],
-        d_alice_bob=p["distance_alice_bob_m"],
-        d_alice_ris=p["distance_alice_ris_m"],
-        d_ris_bob=p["distance_ris_bob_m"],
         multipaths_d=channel_paths("extra_paths_d", p["distance_alice_bob_m"]),
         multipaths_g=channel_paths("extra_paths_g", p["distance_alice_ris_m"]),
         multipaths_f=channel_paths("extra_paths_f", p["distance_ris_bob_m"]),

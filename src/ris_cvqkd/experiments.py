@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import (ChannelFactors, Scenario, build_channels, channel_factors, cores_at,
                       fold_phase)
-from .config import GEOMETRY_RATIOS
 from .decomposition import branch_params, branch_set, decompose, pair_points, singular_values
 from .qkd import AncillaCase, NoiseModel, SkrReport, total_skr
 
@@ -37,7 +36,7 @@ _BLOCK_ENTRIES = 8_192
 # bisection (a 9-level, 511-point bisection was slower than 5 levels)
 _GOLDEN_STEPS = 4
 _BISECTION_STEPS = 5
-_UNIT = [(1.0, 1.0, 1.0)]  # the scale triple of a scenario's own channels
+_UNIT = [1.0]  # the scale of a scenario's own geometry
 
 
 class SweepVariable(enum.Enum):
@@ -90,7 +89,7 @@ def noise_model(scenario: Scenario) -> NoiseModel:
 
 
 def _points(factors: ChannelFactors, scales):
-    """The paired branches of the factors' channels at each scale triple,
+    """The paired branches of the factors' channels at each scale,
     joined in order, with each point's branch count and clamp count and the
     noise model.  Each channel's singular values come from its path-space
     cores, one stack per channel and block, and the block is paired at once."""
@@ -105,13 +104,12 @@ def evaluate_scenario(scenario: Scenario,
     return _block_reports(functools.partial(_points, channel_factors(scenario)), cases, _UNIT)[0]
 
 
-def _distance_scales(base: Scenario, d_ab: float) -> tuple[float, float, float]:
-    """Path scales of the direct, transmitter-to-RIS and RIS-to-receiver
-    channels when the endpoints move to ``d_ab`` at the fixed leg ratios."""
+def _distance_scale(base: Scenario, d_ab: float) -> float:
+    """The scale of every path of ``base`` when the endpoints move to
+    ``d_ab``: each leg keeps its ratio to the Alice-Bob distance."""
     if not d_ab > 0:
         raise ValueError("distance must be > 0")
-    d_ar, d_rb = GEOMETRY_RATIOS[0] * d_ab, GEOMETRY_RATIOS[1] * d_ab
-    return d_ab / base.d_alice_bob, d_ar / base.d_alice_ris, d_rb / base.d_ris_bob
+    return d_ab / base.d_alice_bob
 
 
 def _whole(value, what: str) -> int:
@@ -257,7 +255,7 @@ def _grid(base: Scenario, variable: SweepVariable):
     if variable is SweepVariable.DISTANCE_AB:
         factors = channel_factors(base)
         return _block_points(factors), lambda distances: _points(
-            factors, [_distance_scales(base, d) for d in distances])
+            factors, [_distance_scale(base, d) for d in distances])
     if variable is SweepVariable.RIS_PHASE:
         factors = channel_factors(base)
         decomposed = _rate_blocks(_UNIT, 1, lambda unit: [_points(factors, unit)])[0]
@@ -424,8 +422,8 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
                         d_min: float = 0.5, d_max: float = 200.0,
                         grid_points: int = 64) -> float:
     """Largest distance in [d_min, d_max] with a positive key rate, by a
-    ``grid_points`` scan plus bisection; the leg-ratio geometry is applied
-    at every probe by rescaling the paths of the base scenario's factors."""
+    ``grid_points`` scan plus bisection; every probe rescales the paths of
+    the base scenario's factors, so each leg keeps its ratio to the distance."""
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if not 0.0 < d_min < d_max < math.inf:

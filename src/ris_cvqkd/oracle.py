@@ -15,9 +15,12 @@ is symplectic, that the output covariance is a quantum state, and that the
 ``qkd`` closed forms for that model reproduce it.
 
 ``scenario_at_distance`` is the rebuilt-scenario reference for the distance
-rescale, which the drivers apply to the paths of one scenario's factors, and
-``path_loss`` the one-path reference of the link budget, which the channels
-evaluate as arrays.
+rescale: it builds a scenario whose every path is scaled by d over the base's
+Alice-Bob distance, where the sweeps and searches apply that one scale to the
+paths of one scenario's factors.  ``path_loss`` is the one-path reference of
+the link budget, which the channels evaluate as arrays.  Nothing here is
+imported from ``experiments`` or ``cli``, so no reference computes its answer
+with the code it checks.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import PathSpec, Scenario
-from .config import GEOMETRY_RATIOS
 from .decomposition import BranchSet, _complex, branch_set
-from .experiments import _distance_scales
 from .qkd import AncillaCase, NoiseModel, NumericDomainError, Path, _abs, _sq, total_skr
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
@@ -446,16 +447,14 @@ def _scaled_paths(paths: tuple[PathSpec, ...], factor: float) -> tuple[PathSpec,
 
 
 def scenario_at_distance(base: Scenario, d_ab: float) -> Scenario:
-    """Move the endpoints apart, keeping the fixed leg ratios and rescaling
-    every path proportionally to its channel's leg."""
-    s_d, s_g, s_f = _distance_scales(base, d_ab)
-    return replace(
-        base,
-        d_alice_bob=d_ab, d_alice_ris=GEOMETRY_RATIOS[0] * d_ab,
-        d_ris_bob=GEOMETRY_RATIOS[1] * d_ab,
-        multipaths_d=_scaled_paths(base.multipaths_d, s_d),
-        multipaths_g=_scaled_paths(base.multipaths_g, s_g),
-        multipaths_f=_scaled_paths(base.multipaths_f, s_f))
+    """Move the endpoints to ``d_ab`` apart: every path of all three channels
+    is rescaled by d_ab over the base's Alice-Bob distance, so each leg keeps
+    its ratio to it, and the legs follow from the paths."""
+    if not d_ab > 0:
+        raise ValueError("distance must be > 0")
+    factor = d_ab / base.d_alice_bob
+    return replace(base, **{name: _scaled_paths(getattr(base, name), factor)
+                            for name in ("multipaths_d", "multipaths_g", "multipaths_f")})
 
 
 def path_loss(path: PathSpec, scenario: Scenario,

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,31 +305,44 @@ def test_build_channels_path_linearity():
 
 
 def test_cores_at_rescales_each_channel():
-    # stretching the transmitter-to-RIS paths 3x equals rebuilding them 3x
-    # longer, with the other two channels untouched
-    import dataclasses
+    # a scale of 3 stretches every path of every channel 3x: the same cores
+    # as rebuilding the scenario with 3x longer paths
     scenario = _scenario(extra_paths_g=2, los_aod_rad=-0.1)
-    stretched = dataclasses.replace(scenario, multipaths_g=tuple(
+    names = ("multipaths_d", "multipaths_g", "multipaths_f")
+    stretched = dataclasses.replace(scenario, **{name: tuple(
         dataclasses.replace(p, path_length=p.path_length * 3.0, delay=p.delay * 3.0)
-        for p in scenario.multipaths_g))
-    # one stack per channel over the block of triples; the unit triple
-    # gives the scenario's own cores
-    got = cores_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 3.0, 1.0)])
-    own = cores_at(channel_factors(scenario), [(1.0, 1.0, 1.0)])
-    rebuilt = cores_at(channel_factors(stretched), [(1.0, 1.0, 1.0)])
+        for p in getattr(scenario, name)) for name in names})
+    # one stack per channel over the block of scales; the unit scale gives
+    # the scenario's own cores
+    got = cores_at(channel_factors(scenario), [1.0, 3.0])
+    own = cores_at(channel_factors(scenario), [1.0])
+    rebuilt = cores_at(channel_factors(stretched), [1.0])
     assert [stack.shape for stack in got] == [(2, 1, 1), (2, 3, 3), (2, 1, 1)]
     for stack, want_own, want_rebuilt in zip(got, own, rebuilt):
         assert np.array_equal(stack[0], want_own[0])
         assert np.array_equal(stack[1], want_rebuilt[0])
     with pytest.raises(ValueError, match="path_length must be finite"):
-        cores_at(channel_factors(scenario), [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
+        cores_at(channel_factors(scenario), [1.0, 0.0])
 
 
 def test_build_channels_requires_paths():
-    import dataclasses
-    scenario = dataclasses.replace(_scenario(), multipaths_d=())
-    with pytest.raises(ValueError):
-        build_channels(scenario)
+    # a channel with no path is rejected when the scenario is built
+    for name in ("multipaths_d", "multipaths_g", "multipaths_f"):
+        with pytest.raises(ValueError, match=f"^{name} must contain at least one path$"):
+            dataclasses.replace(_scenario(), **{name: ()})
+
+
+def test_legs_are_read_from_the_paths():
+    # the legs are not arguments: a replace cannot set one apart from its
+    # paths, and a leg override reaches the paths and the leg alike
+    scenario = _scenario(distance_alice_ris_m=5)
+    assert (scenario.d_alice_bob, scenario.d_alice_ris, scenario.d_ris_bob) == (10.0, 5.0, 7.0)
+    assert scenario.multipaths_g[0].path_length == 5.0
+    for leg in ("d_alice_bob", "d_alice_ris", "d_ris_bob"):
+        with pytest.raises(ValueError, match=f"field {leg} is declared with init=False"):
+            dataclasses.replace(_scenario(), **{leg: 20.0})
+    longer = dataclasses.replace(scenario, multipaths_d=(line_of_sight_path(20.0),))
+    assert (longer.d_alice_bob, longer.d_alice_ris) == (20.0, 5.0)
 
 
 def test_scenario_validation():
@@ -362,6 +376,26 @@ def test_scenario_rejects_negative_or_nonfinite_link_terms(paths, name, value):
     base = default_scenario(extra_paths_d=paths)
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
         dataclasses.replace(base, **{name: value})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, value, message", [
+    ("eve_variance", math.inf, "must be finite and >= 1 (shot-noise units)"),
+    ("eve_variance", math.nan, "must be finite and >= 1 (shot-noise units)"),
+    ("eve_variance", 0.5, "must be finite and >= 1 (shot-noise units)"),
+    ("modulation_variance", math.inf, "must be finite and > 0"),
+    ("modulation_variance", math.nan, "must be finite and > 0"),
+    ("modulation_variance", 0.0, "must be finite and > 0"),
+    ("temperature", math.nan, "must be finite and > 0"),
+    ("temperature", math.inf, "must be finite and > 0"),
+    ("temperature", -5.0, "must be finite and > 0"),
+    ("temperature", 0.0, "must be finite and > 0"),
+])
+def test_scenario_rejects_nonfinite_noise_terms(name, value, message):
+    # an infinite variance failed only while rating, as a FloatingPointError,
+    # and a NaN or negative temperature only in the noise model
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+        dataclasses.replace(default_scenario(), **{name: value})
 
 
 def test_channel_triple_accepts_strided_views():

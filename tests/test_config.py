@@ -36,6 +36,25 @@ def test_comments_and_blank_lines(tmp_path):
     assert scenario.d_alice_ris == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("d_ab = 5\n# the same key again\ndistance_alice_bob_m = 20\n", "distance_alice_bob_m"),
+    ("tx_antennas = 16\n\ntx_antennas = 64\n", "tx_antennas"),
+], ids=["alias", "same-name"])
+def test_a_key_set_twice_in_a_file_is_rejected(tmp_path, text, key):
+    # the last line won silently: the first file rated at 20 m
+    path = tmp_path / "twice.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^line 3: key '{key}' is already set on line 1$"):
+        load_scenario(str(path))
+
+
+def test_repeated_override_keeps_the_last(tmp_path):
+    path = tmp_path / "d.cfg"
+    path.write_text("d_ab = 5\n")
+    scenario, params = load_scenario(str(path), ["d_ab=7", "distance_alice_bob_m=20"])
+    assert scenario.d_alice_bob == params["distance_alice_bob_m"] == 20.0
+
+
 def test_alias_override_carrier():
     scenario = make_scenario(apply_overrides({}, ["f_c=1e13"]))
     assert scenario.carrier_frequency == 1e13

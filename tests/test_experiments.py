@@ -93,6 +93,20 @@ def test_scenario_rating_equals_one_row_phase_sweep(overrides, branches, clamped
         _assert_same_rates(row.reports[case], want)
 
 
+LEGS = dict(distance_alice_ris_m=5, distance_ris_bob_m=9)
+
+
+@pytest.mark.parametrize("overrides", [{}, RICH, LEGS], ids=["default", "32-path", "legs"])
+def test_distance_sweep_row_at_own_distance_equals_scenario_rating(overrides):
+    # the row at the scenario's own distance is its unit scale: legs set
+    # apart from 0.4 and 0.7 of d_ab keep their lengths
+    scenario = default_scenario(**overrides)
+    row, = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB,
+                               grid=(scenario.d_alice_bob,), base=scenario)).rows
+    for case, want in evaluate_scenario(scenario).items():
+        _assert_same_rates(row.reports[case], want)
+
+
 def test_rich_distance_sweep_calls_no_scalar_path_loss():
     # the channels evaluate their path losses as arrays, one call per channel
     # and block of 8 points; the one-path reference is counted by its code
@@ -430,11 +444,12 @@ def test_failing_phase_decomposition_is_kept(monkeypatch):
     assert {row.error for row in rows} == {"path phase overflows at delay 3.33564e+299 s"}
 
 
-def test_distance_blocks_equal_rebuilt_scenarios():
+@pytest.mark.parametrize("overrides", [RICH, {**RICH, **LEGS}], ids=["32-path", "legs"])
+def test_distance_blocks_equal_rebuilt_scenarios(overrides):
     # longer than one block of the rich scenario (8 points): an error row, a
     # zero-branch row and ordinary rows in the first block, which is rated
     # again point by point, and ordinary rows in the second
-    base = default_scenario(**RICH)
+    base = default_scenario(**overrides)
     grid = (1e308, 1e4, 120.0, 60.0, 33.0, 15.0, 9.7, 4.0, 2.0, 1.3, 0.7, -1.0)
     assert experiments._block_points(channel_factors(base)) == 8 < len(grid)
     result = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid, base=base))

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -307,3 +309,35 @@ def test_paper_reflected_map_is_not_symplectic():
                 assert np.abs(defect).max() <= 1e-12
             else:
                 assert np.abs(defect).max() > 1e-12
+
+
+PACKAGE = pathlib.Path(oracle.__file__).parent
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier ``tree`` reads, defines or imports, with the last
+    component of every module it imports from."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.ImportFrom):
+            out.add((node.module or "").rsplit(".", 1)[-1])
+    return out
+
+
+def test_references_are_independent_of_the_code_they_check():
+    # the oracle checks the sweeps and searches, so it computes nothing with them, and
+    # the default leg ratios are a config default that no rescale reads
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    imported = set()
+    for node in ast.walk(trees["oracle.py"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= _names(node)
+    assert not imported & {"experiments", "cli"}
+    assert [name for name, tree in sorted(trees.items())
+            if "GEOMETRY_RATIOS" in _names(tree)] == ["config.py"]

@@ -143,7 +143,7 @@ SEARCHES = {
               "_phase_points", dict(d_ab=50.0)),
     "reach": (lambda base, case: max_secure_distance(base, case, d_max=175.0),
               lambda base, case, visited: reference_reach(base, case, 0.01, 175.0, 64, visited),
-              "_distance_scales", dict(eve_variance_snu=2.0)),
+              "_distance_scale", dict(eve_variance_snu=2.0)),
 }
 
 
