@@ -6,9 +6,9 @@ and the no-RIS baseline.  Every driver takes its grid's block size and points
 from ``_grid``, which turns a scenario into branches through one step
 (channels -> decomposition -> paired branches), and rates them in one batched
 pass per case over the branches of a block of points stacked in one set.  The
-phase and reach searches rate every point their next steps can ask for in one
-pass.  Every grid point is a pure function of the scenario, so results are
-deterministic.
+phase and reach searches are steps of one bracket search, which rates every
+point its next steps can ask for in one pass.  Every grid point is a pure
+function of the scenario, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # core entries of one channel's stack per block: 8 points of 32 x 32 cores;
 # 100-point blocks raised a rich sweep's peak memory by 14%
 _BLOCK_ENTRIES = 8_192
-# steps a sequential search rates ahead per call, measured on the default
-# line-of-sight scenario: 15 phases of golden section, 31 distances of
-# bisection (a 9-level, 511-point bisection was slower than 5 levels)
+# levels of brackets a search rates ahead per pass (``_bracket_search``),
+# measured on the default line-of-sight scenario: 4 golden-section levels,
+# 15 new phases; 5 bisection levels, 31 distances (a 9-level, 511-point
+# bisection was slower than 5 levels)
 _GOLDEN_STEPS = 4
 _BISECTION_STEPS = 5
 _UNIT = [1.0]  # the scale of a scenario's own geometry
@@ -215,24 +216,6 @@ def _checked(outcomes: list) -> list:
     return outcomes
 
 
-def _reader(outcomes_of):
-    """``read(x, ahead)`` gives a sequential search its value at ``x``.  On a
-    miss, ``x`` and the points ``ahead()`` names are rated in one
-    ``outcomes_of(points)`` call and every outcome is kept, a value or the
-    point's exception; an exception is raised only when its point is read."""
-    outcomes = {}
-
-    def read(x, ahead):
-        if x not in outcomes:
-            fresh = [p for p in dict.fromkeys([x, *ahead()]) if p not in outcomes]
-            outcomes.update(zip(fresh, outcomes_of(fresh)))
-        if isinstance(outcomes[x], Exception):
-            raise outcomes[x]
-        return outcomes[x]
-
-    return read
-
-
 def _phase_points(decomposed, phis):
     """The ``_points`` of one decomposed scenario at each phase, folded by
     ``fold_phase``: its branches repeated phase by phase, in branch order
@@ -305,97 +288,91 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """Common phase maximizing the key rate, searched over [0, pi].
 
     The rate is even and 2*pi-periodic in the phase, so [0, pi] suffices.
-    A grid scan at the requested resolution brackets the maximizer; a
-    golden-section refinement follows, and a step whose phase is unrated
-    rates the phases of the next ``_GOLDEN_STEPS`` steps in one pass.  Every
-    pass holds at most ``_BLOCK_ENTRIES`` branches.  The channel matrices do
-    not depend on the common phase, so one decomposition serves every
-    evaluation.
+    A grid scan at the requested resolution brackets the maximizer, and a
+    golden-section ascent (``_golden_ascent``) refines it.  Every pass holds
+    at most ``_BLOCK_ENTRIES`` branches.  The channel matrices do not depend
+    on the common phase, so one decomposition serves every evaluation.
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
     totals = _case_totals(case, *_grid(base, SweepVariable.RIS_PHASE))
-    read = _reader(totals)
-
-    def rate(phi: float) -> float:
-        # a miss rates ahead from the loop's current bracket (a, b, c, d)
-        return read(phi, lambda: _golden_points(a, b, c, d, tol))
-
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]
     values = _checked(totals(grid))
     # rightmost maximizer: the rate can plateau exactly (clamped Holevo), and
     # the plateau edge next to the falling branch is the meaningful optimum
     best = max(range(points), key=lambda i: (values[i], i))
-    lo = grid[max(0, best - 1)]
-    hi = grid[min(points - 1, best + 1)]
-
-    # golden-section ascent on the bracketing interval
-    tol = 1e-9
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = rate(c), rate(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = rate(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = rate(d)
-    phi_star = 0.5 * (a + b)
-    skr_star = rate(phi_star)
+    phi_star, skr_star = _golden_ascent(totals, grid[max(0, best - 1)],
+                                        grid[min(points - 1, best + 1)])
     if values[best] > skr_star:
         phi_star, skr_star = grid[best], values[best]
     return PhaseOptimum(phi_star=phi_star, skr_star=skr_star)
 
 
-def _golden_points(a: float, b: float, c: float, d: float, tol: float) -> list[float]:
-    """The phases the golden-section loop of ``optimal_phase`` can rate in
-    ``_GOLDEN_STEPS`` steps from the bracket [a, b] with interior points
-    c < d, by the loop's own expressions: c and d, the new point of either
-    comparison outcome at each later step, and the closing midpoint of every
-    branch that ends."""
-    out, brackets = [c, d], [(a, b, c, d)]
-    for level in range(_GOLDEN_STEPS):
-        ahead = []
-        for a, b, c, d in brackets:
-            if not (b - a) > tol:  # the loop ends and rates the midpoint
-                out.append(0.5 * (a + b))
-            elif level < _GOLDEN_STEPS - 1:
-                upper = d - _GOLDEN * (d - a)  # fc > fd: b, d = d, c; then c
-                lower = c + _GOLDEN * (b - c)  # otherwise: a, c = c, d; then d
-                out += [upper, lower]
-                ahead += [(a, d, upper, c), (c, b, d, lower)]
-        brackets = ahead
-    return out
+def _bracket_search(outcomes_of, bracket, step, above, steps: int):
+    """The bracket where ``step`` stops, searched from ``bracket``, and the
+    values its last step read.  ``step(bracket)`` gives the points a step
+    reads and the bracket after each outcome, "above" first, or None where
+    the search stops; ``above(values)`` picks one.  A step with an unrated
+    point rates every point of the brackets of the next ``steps`` levels,
+    under both outcomes, in one ``outcomes_of(points)`` call, and keeps each
+    outcome, a value or the point's exception; an exception is raised only
+    when its point is read, in the order a step reads its points."""
+    outcomes = {}
+    while True:
+        points, children = step(bracket)
+        if any(x not in outcomes for x in points):
+            ahead, level = [], [bracket]
+            for _ in range(steps):
+                stepped = [step(b) for b in level]
+                ahead += [x for reads, _ in stepped for x in reads]
+                level = [child for _, after in stepped for child in after or ()]
+            fresh = [x for x in dict.fromkeys(ahead) if x not in outcomes]
+            outcomes.update(zip(fresh, outcomes_of(fresh)))
+        values = _checked([outcomes[x] for x in points])
+        if children is None:
+            return bracket, values
+        bracket = children[0 if above(values) else 1]
 
 
-def _bisection_points(lo: float, hi: float, tolerance: float) -> list[float]:
-    """The points the bisection of ``_last_crossing`` can rate in
-    ``_BISECTION_STEPS`` levels from the bracket [lo, hi], by the loop's own
-    expressions and stops: the midpoint, then the midpoints of both halves."""
-    out, brackets = [], [(lo, hi)]
-    for _ in range(_BISECTION_STEPS):
-        ahead = []
-        for lo, hi in brackets:
-            mid = 0.5 * (lo + hi)
-            if (hi - lo) > tolerance and lo < mid < hi:
-                out.append(mid)
-                ahead += [(mid, hi), (lo, mid)]
-        brackets = ahead
-    return out
+def _golden_step(bracket):
+    """A golden-section step on [a, b] with interior points c < d: it reads
+    c and d and keeps [a, d] if c rates above d, else [c, b], each with its
+    one new interior point.  At width 1e-9 it also reads the midpoint and
+    stops."""
+    a, b, c, d = bracket
+    if not (b - a) > 1e-9:
+        return [c, d, 0.5 * (a + b)], None
+    return [c, d], ((a, d, d - _GOLDEN * (d - a), c), (c, b, d, c + _GOLDEN * (b - c)))
+
+
+def _golden_ascent(outcomes, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section ascent on [lo, hi]: the closing midpoint and its rate,
+    with ``outcomes(points)`` giving each point's rate or its exception."""
+    (a, b, _, _), (*_, rate) = _bracket_search(
+        outcomes, (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)),
+        _golden_step, lambda values: values[0] > values[1], _GOLDEN_STEPS)
+    return 0.5 * (a + b), rate
+
+
+def _bisection_step(tolerance: float, bracket):
+    """A bisection step on [lo, hi]: it reads the midpoint and keeps the
+    upper half if the rate there is positive, else the lower.  It stops
+    within ``tolerance``, or at adjacent floats, where no finer split
+    exists."""
+    lo, hi = bracket
+    mid = 0.5 * (lo + hi)
+    if not ((hi - lo) > tolerance and lo < mid < hi):
+        return [], None
+    return [mid], ((mid, hi), (lo, mid))
 
 
 def _last_crossing(outcomes, grid, tolerance: float) -> float:
     """Largest point with a positive rate: ``outcomes(points)`` gives each
     point's rate, or its exception.  The grid is rated in one call (a failing
     point raises), then the last positive-to-nonpositive crossing is bisected
-    to ``tolerance``; a level whose midpoint is unrated rates the midpoints
-    of the next ``_BISECTION_STEPS`` levels in one call.  Returns the last
-    grid point if the rate is positive there, 0 if it is nowhere positive."""
+    to ``tolerance``.  Returns the last grid point if the rate is positive
+    there, 0 if it is nowhere positive."""
     values = _checked(outcomes(grid))
     if all(v <= 0.0 for v in values):
         return 0.0
@@ -404,16 +381,10 @@ def _last_crossing(outcomes, grid, tolerance: float) -> float:
     crossings = [i for i in range(len(grid) - 1) if values[i] > 0.0 >= values[i + 1]]
     if not crossings:  # only with a NaN rate on the grid
         return grid[0]
-    lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
-    read = _reader(outcomes)
-    while (hi - lo) > tolerance:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: no finer split exists
-            break
-        if read(mid, lambda: _bisection_points(lo, hi, tolerance)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    (lo, hi), _ = _bracket_search(
+        outcomes, (grid[crossings[-1]], grid[crossings[-1] + 1]),
+        functools.partial(_bisection_step, tolerance), lambda values: values[0] > 0.0,
+        _BISECTION_STEPS)
     return 0.5 * (lo + hi)
 
 
@@ -428,8 +399,9 @@ def max_secure_distance(base: Scenario, case: AncillaCase,
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if not 0.0 < d_min < d_max < math.inf:
         raise ValueError(f"need 0 < d_min < d_max < inf, got d_min={d_min}, d_max={d_max}")
-    if not grid_points >= 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if not 2 <= grid_points < math.inf:
+        raise ValueError(f"grid_points must be finite and >= 2, got {grid_points}")
+    grid_points = _whole(grid_points, "grid_points")
     grid = [d_min + (d_max - d_min) * i / (grid_points - 1)
             for i in range(grid_points)]
     return _last_crossing(_case_totals(case, *_grid(base, SweepVariable.DISTANCE_AB)), grid,

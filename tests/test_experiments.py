@@ -236,12 +236,62 @@ def test_optimal_phase_known_endpoints():
     assert opt_g.phi_star <= 2.0 * math.pi / 128 + 1e-9
 
 
-# the scan and bisection of max_secure_distance, on synthetic batched rates
+# the bracket searches of optimal_phase and max_secure_distance, on synthetic
+# batched rates
 _REACH_GRID = [0.5 + 199.5 * i / 63 for i in range(64)]
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _synthetic(rate):
-    return lambda points: [rate(d) for d in points]
+def _synthetic(rate, calls=None):
+    def outcomes(points):
+        if calls is not None:
+            calls.append(len(points))
+        return [rate(x) for x in points]
+    return outcomes
+
+
+def _textbook_golden(rate, a, b):
+    """Golden-section ascent to width 1e-9, one rating per step."""
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = rate(c), rate(d)
+    while (b - a) > 1e-9:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = rate(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = rate(d)
+    return 0.5 * (a + b), rate(0.5 * (a + b))
+
+
+@pytest.mark.parametrize("rate, peak", [
+    (lambda x: -(x - 0.3) ** 2, 0.3),
+    # flat up to 0.4: ties keep the upper bracket, so the ascent ends at the edge
+    (lambda x: min(1.0, 1.4 - x), 0.4),
+], ids=["parabola", "plateau"])
+def test_golden_ascent_equals_one_point_per_step(rate, peak):
+    got = experiments._golden_ascent(_synthetic(rate), 0.0, 1.0)
+    assert got == _textbook_golden(rate, 0.0, 1.0)
+    assert got[0] == pytest.approx(peak, abs=1e-8)
+
+
+def test_bracket_search_rates_the_next_levels_per_call():
+    # a falling rate keeps [a, d] at every golden-section step, a route no
+    # other route meets: 44 steps take width 1 to 1e-9, and the 45 brackets
+    # read are rated in passes of _GOLDEN_STEPS levels of both outcomes
+    calls = []
+    phi, _ = experiments._golden_ascent(_synthetic(lambda x: -x, calls), 0.0, 1.0)
+    assert phi == pytest.approx(0.0, abs=1e-9)
+    assert len(calls) == math.ceil(45 / experiments._GOLDEN_STEPS)
+    assert max(calls) <= 2 ** experiments._GOLDEN_STEPS
+    # the grid, then 10 bisection levels from width 1 to 2**-10 in passes of
+    # _BISECTION_STEPS levels, each every midpoint of both outcomes
+    calls.clear()
+    experiments._last_crossing(_synthetic(lambda d: 0.3 - d, calls), [0.0, 1.0], 2.0 ** -10)
+    passes = 10 // experiments._BISECTION_STEPS
+    assert calls == [2] + [2 ** experiments._BISECTION_STEPS - 1] * passes
 
 
 def test_max_secure_distance_hook_upper_bound():
@@ -279,7 +329,8 @@ def test_last_crossing_stops_at_adjacent_floats():
     {"tolerance": 0.0}, {"tolerance": -1.0}, {"tolerance": math.nan},
     {"tolerance": math.inf}, {"d_min": 100.0, "d_max": 10.0},
     {"d_min": 0.0}, {"d_max": math.inf}, {"d_min": math.nan},
-    {"grid_points": 1}, {"grid_points": 0},
+    {"grid_points": 1}, {"grid_points": 0}, {"grid_points": 2.5},
+    {"grid_points": math.inf}, {"grid_points": math.nan},
 ])
 def test_max_secure_distance_rejects_unsearchable_input(kwargs):
     name = next(iter(kwargs))
@@ -293,6 +344,8 @@ def test_max_secure_distance_orders_cases():
     d_direct = max_secure_distance(base, AncillaCase.DIRECT)
     d_reflected = max_secure_distance(base, AncillaCase.RIS_BOB)
     assert d_reflected > d_direct
+    # a whole-number float is that many grid points
+    assert max_secure_distance(base, AncillaCase.RIS_BOB, grid_points=64.0) == d_reflected
 
 
 def test_max_secure_distance_grows_with_antennas():

@@ -1,10 +1,11 @@
 """The phase and reach searches against plain sequential references.
 
-``optimal_phase`` and ``max_secure_distance`` rate ahead: a step whose point
-is unrated rates every point the next steps can ask for in one pass.  The
-references below run the same loops one point at a time through the public
-single-scenario rating, so any difference in a rated point, a comparison or
-a stop shows as a different result.
+``optimal_phase`` and ``max_secure_distance`` are steps of one bracket
+search that rates ahead: a step with an unrated point rates every point the
+next steps can ask for in one pass.  The references below are the textbook
+golden-section and bisection loops that search must reproduce, one point at
+a time through the public single-scenario rating, so any difference in a
+rated point, a comparison or a stop shows as a different result.
 """
 
 import dataclasses
