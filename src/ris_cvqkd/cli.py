@@ -13,7 +13,7 @@ from . import experiments, oracle
 from .channel import Scenario
 from .config import ConfigError, apply_overrides, load_scenario, make_scenario
 from .experiments import SweepResult, SweepSpec, SweepVariable
-from .qkd import AncillaCase, NumericDomainError
+from .qkd import AncillaCase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,7 +170,7 @@ def _cmd_max_distance(args) -> int:
     frequencies = _parse_grid(args.grid) if args.grid else (scenario.carrier_frequency,)
     lines = [",".join(["frequency_hz"] + [f"max_distance_m_{c.value}" for c in cases])]
     for f_c in frequencies:
-        probe = experiments.scenario_with_frequency(scenario, f_c) if args.grid else scenario
+        probe = experiments.scenario_with_frequency(scenario, f_c)
         lines.append(",".join([_fmt(f_c)] + [_fmt(reach(probe, case)) for case in cases]))
     if args.output:
         _write(args.output, lines)
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericDomainError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import (ArrayGeometry, PathSpec, RisGeometry, Scenario,
+from .channel import (SPEED_OF_LIGHT, ArrayGeometry, PathSpec, RisGeometry, Scenario,
                       line_of_sight_path, linear_gain)
 
 GEOMETRY_RATIOS = (0.4, 0.7)  # (alice-ris, ris-bob) legs as fractions of d_ab
@@ -188,7 +188,7 @@ def make_scenario(params: dict) -> Scenario:
     for key, (_, _, (valid, message)) in SCHEMA.items():
         if not valid(p[key]):
             raise ConfigError(f"{key} {message}")
-    wavelength = 299_792_458.0 / p["carrier_frequency_hz"]
+    wavelength = SPEED_OF_LIGHT / p["carrier_frequency_hz"]
     tx = ArrayGeometry(element_count=p["tx_antennas"],
                        element_spacing=p["antenna_spacing_wavelengths"] * wavelength,
                        gain_per_element_dbi=p["antenna_gain_dbi"])

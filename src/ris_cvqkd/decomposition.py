@@ -58,8 +58,7 @@ class BranchSet:
     alpha: complex
     gamma: complex
     beta_f_tilde: complex
-    branch_index: int = 1
-    _DTYPES = (np.float64,) * 4 + (np.complex128,) * 3 + (np.int64,)  # of the fields
+    _DTYPES = (np.float64,) * 4 + (np.complex128,) * 3  # of the fields
 
     @functools.cached_property
     def betas(self) -> np.ndarray:
@@ -93,9 +92,9 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
-def branch_set(betas, phi, branch_index=None) -> BranchSet:
-    """Branches from an (r, 3) array of (d, g, f) transmissivities, each in
-    [0, 1], and the common phase (a scalar or one value per branch).
+def branch_set(betas, phi) -> BranchSet:
+    """Branch i from row i of an (r, 3) array of (d, g, f) transmissivities,
+    each in [0, 1], and the common phase (a scalar or one value per branch).
 
     The reflected-path coefficients are written out in real and imaginary
     parts, the way Python's complex arithmetic forms them, so every entry
@@ -115,15 +114,12 @@ def branch_set(betas, phi, branch_index=None) -> BranchSet:
     return BranchSet(beta_d, beta_g, beta_f, phi,
                      alpha=_complex(root * cos, root * sin),
                      gamma=_complex(np.sqrt(1.0 - beta_f) + cross * cos, cross * sin),
-                     beta_f_tilde=_complex(np.sqrt(beta_f) - leak * cos, 0.0 - leak * sin),
-                     branch_index=(np.arange(1, len(betas) + 1) if branch_index is None
-                                   else np.full(len(betas), branch_index, dtype=np.int64)))
+                     beta_f_tilde=_complex(np.sqrt(beta_f) - leak * cos, 0.0 - leak * sin))
 
 
-def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float,
-                index: int = 1) -> BranchSet:
+def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float) -> BranchSet:
     """One branch, in Python scalars, from raw transmissivities and the common phase."""
-    return branch_set([(float(beta_d), float(beta_g), float(beta_f))], float(phi), index)[0]
+    return branch_set([(float(beta_d), float(beta_g), float(beta_f))], float(phi))[0]
 
 
 def singular_values(stack) -> SvdStack:
@@ -148,9 +144,9 @@ def pair_points(stacks, phi) -> tuple[BranchSet, list[int], list[int]]:
     of the (d, g, f) channels.
 
     A point's branch count r is the smallest of its three channels' ranks,
-    and its branch i pairs the i-th strongest value of each channel, with
-    ``branch_index`` i.  Transmissivities above 1 (possible at short range
-    with large array gains) are clamped to 1, and a point counts its values
+    and its branch i, the point's i-th record, pairs the i-th strongest value
+    of each channel.  Transmissivities above 1 (possible at short range with
+    large array gains) are clamped to 1, and a point counts its values
     clamped by more than 1e-12.
 
     Returns (the branches joined in point order, the branch count per
@@ -161,8 +157,7 @@ def pair_points(stacks, phi) -> tuple[BranchSet, list[int], list[int]]:
     betas = np.stack([s.values[m] for s, m in zip(stacks, paired)], axis=1)  # d, g, f
     clamped = sum(np.count_nonzero((s.values > 1.0 + 1e-12) & m, axis=1)
                   for s, m in zip(stacks, paired))
-    index = np.nonzero(paired[0])[1] + 1  # the column of each paired value, 1-based
-    return branch_set(np.minimum(betas, 1.0), phi, index), counts.tolist(), clamped.tolist()
+    return branch_set(np.minimum(betas, 1.0), phi), counts.tolist(), clamped.tolist()
 
 
 def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],

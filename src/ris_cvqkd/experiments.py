@@ -222,8 +222,7 @@ def _phase_points(decomposed, phis):
     within a phase."""
     branches, (count,), (clamped,), noise = decomposed
     phis = [fold_phase(phi) for phi in phis]
-    return (branch_set(np.tile(branches.betas, (len(phis), 1)), np.repeat(phis, len(branches)),
-                       np.tile(branches.branch_index, len(phis))),
+    return (branch_set(np.tile(branches.betas, (len(phis), 1)), np.repeat(phis, len(branches))),
             [count] * len(phis), [clamped] * len(phis), noise)
 
 
@@ -419,7 +418,6 @@ def no_ris_baseline(base: Scenario, distances=None) -> SweepResult:
 
     def tap_closed(distances):
         branches, *rest = points(distances)
-        return (branch_set(np.where([True, True, False], branches.betas, 0.0), branches.phi,
-                           branches.branch_index), *rest)
+        return (branch_set(branches.betas * [1.0, 1.0, 0.0], branches.phi), *rest)
 
     return _sweep(spec, size, tap_closed)

@@ -353,7 +353,6 @@ def _mutual_info(path: Path, bv: BobVariances) -> np.ndarray:
 class BranchRecord:
     """All per-branch intermediates of the key-rate evaluation."""
 
-    index: int
     i_ab_direct: float
     i_ab_ris: float
     holevo: float
@@ -377,21 +376,20 @@ class Warnings:
 
 @dataclass(frozen=True, eq=False)
 class SkrReport:
-    """Key rates of a span of branches of a rated block.  ``_rated`` holds the
-    block's ``BranchRecord`` fields as arrays in branch order and its
-    conditioned stored pairs; the span's rates, pairs, records and total are
-    sliced and summed from it when first read."""
+    """Key rates of a span of branches of a rated block, where branch i is
+    record i.  ``_rated`` holds the block's ``BranchRecord`` fields as arrays
+    and its conditioned stored pairs; the span's rates, pairs and records are
+    sliced from it when first read, and its totals added as ``totals`` adds."""
 
-    ancilla_case: AncillaCase
     warnings: Warnings
     _rated: tuple[BranchRecord, PairCov]
     _span: slice
 
     def totals(self, counts) -> list[float]:
         """Sums of consecutive runs of ``counts`` branch rates of the span, each
-        added left to right in Python floats: a pairwise ``np.sum`` would break
-        criterion 8 (duplicated branches add exactly) and criterion 10 (stable
-        bytes)."""
+        added left to right in Python floats, as ``total_holevo`` adds: a
+        pairwise ``np.sum`` or a compensated ``sum`` would break criterion 8
+        (duplicated branches add exactly) and criterion 10 (stable bytes)."""
         it = iter(self._rated[0].skr[self._span].tolist())
         return [functools.reduce(operator.add, itertools.islice(it, count), 0.0)
                 for count in counts]
@@ -402,8 +400,8 @@ class SkrReport:
         transmissivities are attached."""
         stops = list(itertools.accumulate(counts, initial=self._span.start))
         negative = list(itertools.accumulate(self._rated[0].negativity_count.tolist(), initial=0))
-        return [SkrReport(self.ancilla_case, Warnings(clamped, negative[hi] - negative[lo]),
-                          self._rated, slice(lo, hi))
+        return [SkrReport(Warnings(clamped, negative[hi] - negative[lo]), self._rated,
+                          slice(lo, hi))
                 for lo, hi, clamped in zip(stops, stops[1:], clamps)]
 
     @functools.cached_property
@@ -412,7 +410,7 @@ class SkrReport:
 
     @property
     def total_holevo(self) -> float:
-        return sum(self._rated[0].holevo[self._span].tolist(), 0.0)
+        return functools.reduce(operator.add, self._rated[0].holevo[self._span].tolist(), 0.0)
 
     @functools.cached_property
     def rates(self) -> BranchRecord:
@@ -452,7 +450,7 @@ def total_skr(case: AncillaCase, branches, n: NoiseModel, *,
     lams = np.array([lam1, lam2, *_conditional_eigs(cond)])
     h1, h2, h3, h4 = holevo_h(lams)
     holevo = h1 + h2 - h3 - h4
-    rates = BranchRecord(b.branch_index, i_d, i_r, holevo, *lams, i_d + i_r - holevo,
+    rates = BranchRecord(i_d, i_r, holevo, *lams, i_d + i_r - holevo,
                          (lams < 1.0 - NEGATIVITY_TOL).sum(axis=0))
-    return SkrReport(case, Warnings(eigen_negativity=int(rates.negativity_count.sum())),
+    return SkrReport(Warnings(eigen_negativity=int(rates.negativity_count.sum())),
                      (rates, cond), slice(0, len(b)))

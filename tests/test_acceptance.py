@@ -139,8 +139,7 @@ def test_criterion_5_phase_argmax():
     def argmax_phase(case):
         values = []
         for phi in grid:
-            swapped = [make_branch(b.beta_d, b.beta_g, b.beta_f, float(phi),
-                                   b.branch_index) for b in branches]
+            swapped = [make_branch(b.beta_d, b.beta_g, b.beta_f, float(phi)) for b in branches]
             values.append(total_skr(case, swapped, noise).total_skr)
         return float(grid[int(np.argmax(values))])
 

@@ -47,12 +47,12 @@ def test_batched_records_equal_one_branch_calls(draws, case, model):
     singles = [total_skr(case, [b], _noise(float(s), float(e)), model=model).branches[0]
                for b, s, e in zip(branches, v_s, v_e)]
     assert report.branches == tuple(singles)
-    total = 0.0
+    total = holevo = 0.0
     for rec in singles:
         total += rec.skr
+        holevo += rec.holevo
     assert type(report.total_skr) is float and report.total_skr == total
-    assert type(report.total_holevo) is float
-    assert report.total_holevo == sum((rec.holevo for rec in singles), 0.0)
+    assert type(report.total_holevo) is float and report.total_holevo == holevo
 
 
 @seeded

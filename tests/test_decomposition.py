@@ -133,7 +133,6 @@ def test_branch_pairing_descending_order():
     for key in ("beta_d", "beta_g", "beta_f"):
         values = [getattr(b, key) for b in branches]
         assert values == sorted(values, reverse=True)
-    assert [b.branch_index for b in branches] == list(range(1, len(branches) + 1))
     assert all(b.phi == pytest.approx(0.4) for b in branches)
 
 
@@ -207,17 +206,16 @@ def test_core_singular_values_match_dense_matrix(n, side, offsets, scale):
 
 def _array_set():
     rng = np.random.default_rng(47)
-    return branch_set(rng.random((5, 3)), rng.random(5) * 2.0 * math.pi, 3)
+    return branch_set(rng.random((5, 3)), rng.random(5) * 2.0 * math.pi)
 
 
 def test_one_branch_sets_hold_python_scalars():
     branches = _array_set()
-    kinds = (float,) * 4 + (complex,) * 3 + (int,)
+    kinds = (float,) * 4 + (complex,) * 3
     for i, b in enumerate(branches):
         assert [type(getattr(b, f.name)) for f in dataclasses.fields(b)] == list(kinds)
         assert b.beta_g == branches.beta_g[i] and b.alpha == branches.alpha[i]
     assert len(list(branches)) == len(branches) == 5
-    assert type(branches[-1].branch_index) is int
 
 
 def test_of_rebuilds_the_array_set_bit_for_bit():
@@ -230,7 +228,7 @@ def test_of_rebuilds_the_array_set_bit_for_bit():
     empty = BranchSet.of([])
     assert len(empty) == 0 and empty.betas.shape == (0, 3)
     assert [getattr(empty, f.name).dtype for f in dataclasses.fields(BranchSet)] \
-        == [np.dtype(float)] * 4 + [np.dtype(complex)] * 3 + [np.dtype(np.int64)]
+        == [np.dtype(float)] * 4 + [np.dtype(complex)] * 3
 
 
 def test_of_passes_a_lone_array_set_through():
@@ -256,7 +254,6 @@ def test_keyword_record_rates_alone_in_a_list_and_joined():
         assert total_skr(case, [record], noise).branches == alone.branches
         joined = total_skr(case, [branches, record], noise)
         assert joined.branches == total_skr(case, branches, noise).branches + alone.branches
-        assert joined.branches[-1].index == 1
         joint = oracle.joint_cov(case, record, noise)
         stacked = oracle._joint_stack(oracle._joint_entries(
             case, BranchSet.of([branches, record]), noise))

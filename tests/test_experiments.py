@@ -209,8 +209,7 @@ def test_optimal_phase_dominates_grid_samples():
         branches, _ = branch_params(bundles, base.ris)
         noise = noise_model(base)
         for phi in np.linspace(0.0, math.pi, 65):
-            swapped = [make_branch(b.beta_d, b.beta_g, b.beta_f, float(phi),
-                                   b.branch_index) for b in branches]
+            swapped = [make_branch(b.beta_d, b.beta_g, b.beta_f, float(phi)) for b in branches]
             sample = total_skr(case, swapped, noise).total_skr
             assert opt.skr_star >= sample - 1e-15
 
@@ -403,7 +402,7 @@ def test_baseline_reflected_path_carries_nothing():
     for row in result.rows:
         report = row.reports[AncillaCase.DIRECT]
         for rec in report.branches:
-            assert rec.i_ab_ris == pytest.approx(0.0, abs=1e-15)
+            assert rec.i_ab_ris == 0.0
 
 
 def test_baseline_matches_closed_tap_equivalence():
@@ -416,8 +415,7 @@ def test_baseline_matches_closed_tap_equivalence():
     scenario = scenario_at_distance(base, 10.0)
     bundles = decompose(build_channels(scenario))
     branches, _ = branch_params(bundles, scenario.ris)
-    forced = [make_branch(b.beta_d, b.beta_g, 0.0, b.phi, b.branch_index)
-              for b in branches]
+    forced = [make_branch(b.beta_d, b.beta_g, 0.0, b.phi) for b in branches]
     expected = total_skr(AncillaCase.DIRECT, forced, noise_model(scenario)).total_skr
     result = no_ris_baseline(base, distances=(10.0,))
     assert result.rows[0].reports[AncillaCase.DIRECT].total_skr == expected

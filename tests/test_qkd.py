@@ -438,9 +438,8 @@ def test_branch_skr_matches_single_expression():
 
 def test_branch_record_carries_intermediates():
     n = noise(v_e=2.0)
-    b = make_branch(0.4, 0.6, 0.3, 0.8, index=3)
+    b = make_branch(0.4, 0.6, 0.3, 0.8)
     rec = rate(AncillaCase.ALICE_RIS, b, n)
-    assert rec.index == 3
     assert rec.skr == pytest.approx(
         rec.i_ab_direct + rec.i_ab_ris - rec.holevo, rel=1e-14)
     assert rec.lambda_1 >= rec.lambda_2
