@@ -38,6 +38,7 @@ from .qkd import AncillaCase, NoiseModel, NumericDomainError, Path, _abs, _sq, t
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
 REGISTER_MODES = 7  # A, E_d, E'_d, E_g, E'_g, E_f, E'_f
 VERIFY_BLOCK = 64  # draws per stacked eigensolve in run_verification; bounds its memory
+_U, _SPLIT = 2.0 ** -53, 2.0 ** 27 + 1.0  # binary64 unit roundoff; Veltkamp's splitter
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -168,6 +169,8 @@ def numeric_symplectic_eigs(k: np.ndarray):
     if k.shape[-2:] != (4, 4):
         raise ValueError("covariance must be 4x4")
     stack = k.reshape(-1, 4, 4)
+    if not np.isfinite(stack).all():
+        raise ValueError("covariance must be finite")
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     if not np.all(skew <= 1e-10 * scale):
@@ -181,9 +184,13 @@ def numeric_symplectic_eigs(k: np.ndarray):
     herm = 0.5 * (herm + herm.conj().swapaxes(1, 2))
     lam = _paired(np.abs(np.linalg.eigvalsh(herm)))
     refine = np.flatnonzero((lam[:, 0] > 0.0) & (lam[:, 1] < 1e-2 * lam[:, 0]))
-    for i, exact in zip(refine, _sectors_decouple(stack[refine])):
-        small = _small_eig_from_sectors if exact else _small_eig_from_det
-        lam[i, 1] = small(stack[i], lam[i, 0])
+    decoupled = _sectors_decouple(stack[refine])
+    rows = refine[decoupled]
+    lam[rows, 1], certified = _small_eigs_certified(stack[rows], lam[rows, 0])
+    for i in rows[~certified]:
+        lam[i, 1] = _small_eig_from_sectors(stack[i], lam[i, 0])
+    for i in refine[~decoupled]:
+        lam[i, 1] = _small_eig_from_det(stack[i], lam[i, 0])
     if k.ndim == 2:
         return float(lam[0, 0]), float(lam[0, 1])
     return lam.reshape(k.shape[:-2] + (2,))
@@ -211,12 +218,53 @@ def _sectors_decouple(stack: np.ndarray) -> np.ndarray:
             & (stack[:, 3, 1] == stack[:, 1, 3].conj()))
 
 
-def _exact_product(x: float, y: float) -> tuple[int, int]:
-    """x*y exactly, as (numerator, denominator); the denominator is a power
-    of two."""
-    nx, dx = float(x).as_integer_ratio()
-    ny, dy = float(y).as_integer_ratio()
-    return nx * ny, dx * dy
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker, with
+    Veltkamp's split: numpy has no fused multiply-add), barring underflow
+    and overflow."""
+    ah, bh = (x * _SPLIT - (x * _SPLIT - x) for x in (a, b))
+    p, al, bl = a * b, a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _small_eigs_certified(k: np.ndarray, lam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_small_eig_from_sectors`` over an (m, 4, 4) stack of decoupled
+    matrices in double-double arithmetic, and a mask of the rows whose
+    rounding of det K a bound proves; the caller takes the others exactly.
+
+    A sector determinant a*b - Re(c)^2 - Im(c)^2 is three exact products
+    summed to h + l within gamma_4 * S, S the summed magnitudes of the five
+    low-order terms.  With u = 2^-53, the sectors' double-double product
+    v + r, v a float, is within 5u((|hx| + 5u Sx) Sy + Sx |hy| + 3u |hx hy|)
+    of det K (slack over 4u(1 + 5u) and 9u^2 covers the bound's rounding).
+    A row is kept where |r| plus that bound is strictly inside half the
+    gap below |v|, and every entry and sector determinant is 0 or of binary
+    exponent within +-480, so that no product underflows.
+    """
+    c = k[:, [0, 1], [2, 3]]
+    left = np.stack([k[:, [0, 1], [0, 1]].real, c.real, c.imag])  # (3, m, sector)
+    right = np.stack([k[:, [2, 3], [2, 3]].real, c.real, c.imag])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, e = _two_product(left, right)
+        s, q1 = _two_sum(p[0], -p[1])
+        s, q2 = _two_sum(s, -p[2])
+        tail = np.stack([q1, q2, e[0], -e[1], -e[2]])
+        high, low = _two_sum(s, tail.sum(axis=0))
+        (hx, hy), (lx, ly), (sx, sy) = high.T, low.T, np.abs(tail).sum(axis=0).T
+        ph, pe = _two_product(hx, hy)
+        v, r = _two_sum(ph, pe + (hx * ly + lx * hy))
+        bound = 5 * _U * ((abs(hx) + 5 * _U * sx) * sy + sx * abs(hy) + 3 * _U * abs(ph))
+        safe = [abs(np.frexp(x)[1]) <= 480 for x in (left, high)]  # zero has exponent 0
+        certified = (safe[0].all(axis=(0, 2)) & safe[1].all(axis=1)
+                     & (abs(r) + bound < 0.5 * (abs(v) - np.nextafter(abs(v), 0.0))))
+        return np.sqrt(abs(v)) / lam1, certified
 
 
 def _small_eig_from_sectors(k: np.ndarray, lam1: float) -> float:
@@ -224,18 +272,15 @@ def _small_eig_from_sectors(k: np.ndarray, lam1: float) -> float:
     sectors decouple (``_sectors_decouple``).
 
     det K is the product of the x-sector and p-sector determinants
-    a*b - |c|^2, each evaluated exactly on the float entries, and is rounded
-    once.
+    a*b - |c|^2, each exact on the float entries.  Beyond the float range it
+    is scaled by 4^-n before its one rounding, and by 2^n after the root.
     """
-    num = den = 1
-    for sector in (k[0::2, 0::2], k[1::2, 1::2]):
-        c = sector[0, 1]
-        terms = (_exact_product(sector[0, 0].real, sector[1, 1].real),
-                 _exact_product(-c.real, c.real), _exact_product(-c.imag, c.imag))
-        common = max(d for _, d in terms)
-        num *= sum(t * (common // d) for t, d in terms)
-        den *= common
-    return math.sqrt(abs(num / den)) / lam1
+    from fractions import Fraction as F
+    det = math.prod(F(s[0, 0].real) * F(s[1, 1].real) - F(s[0, 1].real) ** 2
+                    - F(s[0, 1].imag) ** 2 for s in (k[0::2, 0::2], k[1::2, 1::2]))
+    bits = det.numerator.bit_length() - det.denominator.bit_length()
+    shift = bits // 2 if abs(bits) > 1000 else 0
+    return math.ldexp(math.sqrt(abs(det / F(4) ** shift)) / lam1, shift)
 
 
 def _small_eig_from_det(k: np.ndarray, lam1: float) -> float:

@@ -3,9 +3,13 @@ import cmath
 import dataclasses
 import math
 import pathlib
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_cvqkd import oracle, qkd
 from ris_cvqkd.decomposition import BranchSet, make_branch
@@ -220,6 +224,35 @@ def test_exact_sector_small_eig_matches_extended_precision():
     assert abs(exact - reference) <= 1e-15 * reference
 
 
+def _routes(monkeypatch):
+    """Counts of the small-eigenvalue refinement routes, read as (rows
+    through the batched pass, exact-rational fallbacks, mpmath fallbacks)."""
+    batched = _count_calls(monkeypatch, "_small_eigs_certified")
+    exact = _count_calls(monkeypatch, "_small_eig_from_sectors")
+    extended = _count_calls(monkeypatch, "_small_eig_from_det")
+    return lambda: (sum(len(args[0]) for args in batched), len(exact), len(extended))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e100, 1e-100])
+def test_exact_sector_small_eig_holds_beyond_float_range(s):
+    # det K is about 0.04 s^4: beyond the float range at 1e100 and 1e-100
+    k = PairCov(a=(100.0 * s, 100.0 * s), b=(s, s), c=(9.99 * s, -9.99 * s)).as_matrix()
+    lam1, lam2 = numeric_symplectic_eigs(k)
+    exact = oracle._small_eig_from_sectors(k, lam1)
+    reference = oracle._small_eig_from_det(k, lam1)
+    assert abs(exact - reference) <= 1e-15 * reference
+    assert lam2 == exact
+    assert lam2 == pytest.approx(2.019e-3 * s, rel=1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_covariance_is_rejected_by_name(bad):
+    stack = np.stack([np.eye(4, dtype=complex)] * 2)
+    stack[1, 0, 2] = stack[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        numeric_symplectic_eigs(stack)
+
+
 def test_cross_quadrature_terms_take_extended_precision_fallback(monkeypatch):
     # a sub-vacuum pair (lam2 / lam1 ~ 2e-5); a local rotation of the first
     # mode keeps its symplectic spectrum but mixes x1 with p2
@@ -230,23 +263,114 @@ def test_cross_quadrature_terms_take_extended_precision_fallback(monkeypatch):
                    [math.sin(theta), math.cos(theta)]]
     mixed = rot @ k @ rot.T
     assert mixed[0, 3] != 0.0
-    sectors = _count_calls(monkeypatch, "_small_eig_from_sectors")
-    fallback = _count_calls(monkeypatch, "_small_eig_from_det")
+    routes = _routes(monkeypatch)
     lam = numeric_symplectic_eigs(mixed)
-    assert (len(sectors), len(fallback)) == (0, 1)
+    assert routes() == (0, 0, 1)
     assert lam[1] < 1e-2 * lam[0]
     assert lam == pytest.approx(numeric_symplectic_eigs_direct(mixed), rel=1e-7)
     assert lam == pytest.approx(numeric_symplectic_eigs(k), rel=1e-9)
-    assert len(sectors) == 1
+    assert routes() == (1, 0, 1)
 
 
 def test_run_verification_never_takes_extended_precision(monkeypatch):
-    sectors = _count_calls(monkeypatch, "_small_eig_from_sectors")
-    fallback = _count_calls(monkeypatch, "_small_eig_from_det")
+    routes = _routes(monkeypatch)
     results = run_verification(200, seed=42)
     assert all(check.passed for check in results)
-    assert fallback == []
-    assert len(sectors) > 0
+    batched, exact, extended = routes()
+    assert batched > 0
+    assert (exact, extended) == (0, 0)
+
+
+def test_batched_refinement_equals_exact_route_on_verification_grid(monkeypatch):
+    seen = []
+    batched = oracle._small_eigs_certified
+
+    def recorded(k, lam1):
+        small, certified = batched(k, lam1)
+        seen.append((k, lam1, small, certified))
+        return small, certified
+
+    monkeypatch.setattr(oracle, "_small_eigs_certified", recorded)
+    run_verification(2000, seed=42)
+    assert sum(len(k) for k, *_ in seen) > 1000
+    for k, lam1, small, certified in seen:
+        assert certified.all()
+        exact = [oracle._small_eig_from_sectors(m, l) for m, l in zip(k, lam1)]
+        assert small.tolist() == exact
+
+
+def _decoupled(x, p):
+    """4x4 covariance from an x-sector and a p-sector, each (a, b, c) for
+    [[a, c], [conj(c), b]] over (mode 1, mode 2)."""
+    k = np.zeros((4, 4), dtype=complex)
+    for q, (a, b, c) in enumerate((x, p)):
+        k[q, q], k[q + 2, q + 2], k[q, q + 2], k[q + 2, q] = a, b, c, np.conj(c)
+    return k
+
+
+def _exact_det(k):
+    """det K of a decoupled 4x4 covariance, exactly."""
+    f = Fraction
+    return math.prod(f(s[0, 0].real) * f(s[1, 1].real) - f(s[0, 1].real) ** 2
+                     - f(s[0, 1].imag) ** 2 for s in (k[0::2, 0::2], k[1::2, 1::2]))
+
+
+_WIDE = (2.0 ** 10, 2.0 ** -10, 0.0)  # a p-sector with det 1 and lam1 of 2^10
+FALLBACK_ROWS = {
+    # det K = (1 + 2^-27)(1 + 2^-26) lies exactly halfway between two floats
+    "midpoint": ((2.0 ** 10 * (1 + 2.0 ** -27), 2.0 ** -10, 0.0),
+                 (2.0 ** 10 * (1 + 2.0 ** -26), 2.0 ** -10, 0.0)),
+    # det K = 1 - 2^-54 + 2^-74 rounds up to 1, 2^-74 past the midpoint of the
+    # half-width gap below 1
+    "below-power-of-two": (tuple(math.ldexp(n, -37) for n in (
+        4503599627370839, 4231242091113175, 4365297273492796)), _WIDE),
+    "zero-det": ((2.0 ** 10, 2.0 ** -10, 1.0), _WIDE),
+    # det K = 1 exactly, but the entries lie beyond the pass's +-480 exponents
+    "spread-entries": ((2.0 ** 600, 2.0 ** -600, 0.0), (2.0 ** 600, 2.0 ** -600, 0.0)),
+    "huge-det": ((2.0 ** 600, 2.0 ** -10, 0.0), (2.0 ** 600, 2.0 ** -10, 0.0)),
+    "tiny-det": ((1.0, 2.0 ** -600, 0.0), (1.0, 2.0 ** -600, 0.0)),
+}
+
+
+def test_unproven_roundings_take_the_exact_route(monkeypatch):
+    stack = np.stack([_decoupled(*row) for row in FALLBACK_ROWS.values()])
+    det = dict(zip(FALLBACK_ROWS, map(_exact_det, stack)))
+    assert det["midpoint"] - Fraction(1 + 3 * 2.0 ** -27) == Fraction(2.0 ** -53)
+    assert math.ulp(1 + 3 * 2.0 ** -27) == 2.0 ** -52
+    assert 1 - Fraction(2.0 ** -54) < det["below-power-of-two"] < 1
+    assert (det["zero-det"], det["spread-entries"], det["huge-det"], det["tiny-det"]) == (
+        0, 1, Fraction(2) ** 1180, Fraction(2) ** -1200)
+    _, certified = oracle._small_eigs_certified(stack, np.ones(len(stack)))
+    assert not certified.any()
+    routes = _routes(monkeypatch)
+    lam = numeric_symplectic_eigs(stack)
+    assert routes() == (len(stack), len(stack), 0)
+    for k, (lam1, lam2) in zip(stack, lam):
+        det = _exact_det(k)
+        with mpmath.workdps(50):
+            reference = float(mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)) / lam1
+        assert abs(lam2 - reference) <= 1e-15 * reference
+
+
+def _sector(a, b, closeness, angle):
+    """(a, b, c) with |c| = (1 - closeness) sqrt(ab): a closeness near 0
+    cancels the sector determinant a*b - |c|^2."""
+    return a, b, (1.0 - closeness) * math.sqrt(a) * math.sqrt(b) * cmath.exp(1j * angle)
+
+
+# the wide range crosses the batched pass's entry bounds; the narrow one stays inside
+_MAGNITUDES = st.floats(2.0 ** -600, 2.0 ** 600) | st.floats(2.0 ** -20, 2.0 ** 20)
+_SECTORS = st.builds(_sector, _MAGNITUDES, _MAGNITUDES,
+                     st.integers(0, 70).map(lambda n: 2.0 ** -n), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_SECTORS, _SECTORS)
+def test_certified_rows_round_det_k_as_the_exact_route(x, p):
+    k = _decoupled(x, p)
+    small, certified = oracle._small_eigs_certified(k[None], np.array([1.0]))
+    if certified[0]:
+        assert small[0] == oracle._small_eig_from_sectors(k, 1.0)
 
 
 # --- independent-probe attack model ------------------------------------------

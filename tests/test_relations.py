@@ -7,6 +7,10 @@ to rates, on a few fixed scenarios.
 - *Phase symmetry.*  The rate is even and 2*pi-periodic in the RIS common
   phase, which ``optimal_phase`` relies on when it searches only [0, pi]:
   rate(phi) = rate(2*pi - phi) = rate(phi + 2*pi), branch by branch.
+- *Config round trip.*  A config file written by ``serialize_params`` loads
+  back to the scenario that ``make_scenario`` builds from the same keys.
+- *Distance.*  On line of sight, every case's rate is non-increasing in the
+  Alice-Bob distance, up to the entropy rounding floor.
 """
 
 import math
@@ -14,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from ris_cvqkd.config import default_scenario
+from ris_cvqkd.config import default_scenario, load_scenario, make_scenario, serialize_params
 from ris_cvqkd.experiments import SweepSpec, SweepVariable, evaluate_scenario, run_sweep
 from ris_cvqkd.qkd import AncillaCase
 
@@ -69,3 +73,30 @@ def test_rate_is_even_and_periodic_in_the_common_phase(overrides):
                 assert got[case].tobytes() == want[case].tobytes()
             assert np.all(np.abs(got[AncillaCase.RIS_BOB] - want[AncillaCase.RIS_BOB])
                           <= BRANCH_ABS_TOL)
+
+
+ROUND_TRIP = {
+    "defaults": {},
+    "distance-and-paths": dict(distance_alice_bob_m=7, extra_paths_d=3),
+    "leg-and-antennas": dict(distance_alice_ris_m=5, tx_antennas=16),
+}
+
+
+@pytest.mark.parametrize("params", list(ROUND_TRIP.values()), ids=list(ROUND_TRIP))
+def test_serialized_params_load_back_to_the_same_scenario(params, tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(serialize_params(params), encoding="utf-8")
+    scenario, _ = load_scenario(str(path))
+    assert scenario == make_scenario(params)
+
+
+def test_rate_is_non_increasing_in_distance_on_line_of_sight():
+    base = default_scenario()
+    paths = base.multipaths_d + base.multipaths_g + base.multipaths_f
+    assert len(paths) == 3 and all(p.is_los for p in paths)
+    grid = np.linspace(0.5, 200.0, 800).tolist()
+    rows = run_sweep(SweepSpec(SweepVariable.DISTANCE_AB, grid, base)).rows
+    assert all(row.error is None for row in rows)
+    for case in AncillaCase:
+        rates = np.array([row.reports[case].total_skr for row in rows])
+        assert np.diff(rates).max() <= BRANCH_ABS_TOL
