@@ -134,9 +134,12 @@ def apply_overrides(params: dict, overrides) -> dict:
 
 
 def resolve_params(params: dict) -> dict:
-    """Fill defaults and the distance-derived values."""
+    """Parameters on schema keys or aliases, each value (a string or a number)
+    coerced to its key's type, with defaults and derived distances filled in."""
     full = {key: default for key, (_, default, _) in SCHEMA.items()}
-    full.update(params)
+    for key, value in params.items():
+        key = _resolve_key(key)
+        full[key] = _parse_value(key, value)
     d_ab = full["distance_alice_bob_m"]
     if full["distance_alice_ris_m"] is None:
         full["distance_alice_ris_m"] = GEOMETRY_RATIOS[0] * d_ab
@@ -179,12 +182,10 @@ def _extra_paths(count: int, base_length: float, spread: float, excess: float,
 
 
 def make_scenario(params: dict) -> Scenario:
-    """Build the scenario value from parameters on schema keys or aliases: each
-    value, a string or a number, is coerced to its key's type, and every
-    resolved value is checked against its key's domain, so an error names
-    the key and not a derived value."""
-    params = {_resolve_key(key): value for key, value in params.items()}
-    p = resolve_params({key: _parse_value(key, value) for key, value in params.items()})
+    """Build the scenario value from ``resolve_params(params)``: every resolved
+    value is checked against its key's domain, so an error names the key and
+    not a derived value."""
+    p = resolve_params(params)
     for key, (_, _, (valid, message)) in SCHEMA.items():
         if not valid(p[key]):
             raise ConfigError(f"{key} {message}")
@@ -227,11 +228,7 @@ def make_scenario(params: dict) -> Scenario:
 def serialize_params(params: dict) -> str:
     """Canonical text form of resolved parameters (sorted keys, repr values)."""
     p = resolve_params(params)
-    lines = []
-    for key in sorted(p):
-        value = p[key]
-        lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {p[key]!r}\n" for key in sorted(p))
 
 
 def load_scenario(path: str, overrides=None) -> tuple[Scenario, dict]:

@@ -184,13 +184,10 @@ def numeric_symplectic_eigs(k: np.ndarray):
     herm = 0.5 * (herm + herm.conj().swapaxes(1, 2))
     lam = _paired(np.abs(np.linalg.eigvalsh(herm)))
     refine = np.flatnonzero((lam[:, 0] > 0.0) & (lam[:, 1] < 1e-2 * lam[:, 0]))
-    decoupled = _sectors_decouple(stack[refine])
-    rows = refine[decoupled]
+    rows = refine[_sectors_decouple(stack[refine])]
     lam[rows, 1], certified = _small_eigs_certified(stack[rows], lam[rows, 0])
-    for i in rows[~certified]:
-        lam[i, 1] = _small_eig_from_sectors(stack[i], lam[i, 0])
-    for i in refine[~decoupled]:
-        lam[i, 1] = _small_eig_from_det(stack[i], lam[i, 0])
+    for i in np.setdiff1d(refine, rows[certified]):
+        lam[i, 1] = _small_eig_exact(stack[i], lam[i, 0])
     if k.ndim == 2:
         return float(lam[0, 0]), float(lam[0, 1])
     return lam.reshape(k.shape[:-2] + (2,))
@@ -235,9 +232,10 @@ def _two_product(a, b):
 
 
 def _small_eigs_certified(k: np.ndarray, lam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_small_eig_from_sectors`` over an (m, 4, 4) stack of decoupled
-    matrices in double-double arithmetic, and a mask of the rows whose
-    rounding of det K a bound proves; the caller takes the others exactly.
+    """``_small_eig_exact`` over an (m, 4, 4) stack of decoupled matrices
+    (``_sectors_decouple``) in double-double arithmetic, and a mask of the
+    rows whose rounding of det K a bound proves; the caller takes the others
+    exactly.
 
     A sector determinant a*b - Re(c)^2 - Im(c)^2 is three exact products
     summed to h + l within gamma_4 * S, S the summed magnitudes of the five
@@ -267,39 +265,36 @@ def _small_eigs_certified(k: np.ndarray, lam1: np.ndarray) -> tuple[np.ndarray, 
         return np.sqrt(abs(v)) / lam1, certified
 
 
-def _small_eig_from_sectors(k: np.ndarray, lam1: float) -> float:
-    """Small symplectic eigenvalue sqrt|det K| / lam1 of a matrix whose
-    sectors decouple (``_sectors_decouple``).
+def _gauss_det(rows: list) -> tuple[int, int]:
+    """Determinant of a square matrix of Gaussian integers, each an (re, im)
+    pair of ints, by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    re = im = 0
+    for j, (a, b) in enumerate(rows[0]):
+        if a or b:
+            c, d = _gauss_det([row[:j] + row[j + 1:] for row in rows[1:]])
+            re, im = re + (-1) ** j * (a * c - b * d), im + (-1) ** j * (a * d + b * c)
+    return re, im
 
-    det K is the product of the x-sector and p-sector determinants
-    a*b - |c|^2, each exact on the float entries.  Beyond the float range it
-    is scaled by 4^-n before its one rounding, and by 2^n after the root.
+
+def _small_eig_exact(k: np.ndarray, lam1: float) -> float:
+    """Small symplectic eigenvalue sqrt|det K| / lam1 from the exact det K.
+
+    One power of two 2^e turns all 32 parts of K into Gaussian integers, whose
+    determinant 2^4e det K is exact in Python ints.  |det K| is the hypot of
+    its two correctly rounded parts: one rounding if K is exactly Hermitian.
+    Beyond the float range it is scaled by 4^-n before, and 2^n after the root.
     """
-    from fractions import Fraction as F
-    det = math.prod(F(s[0, 0].real) * F(s[1, 1].real) - F(s[0, 1].real) ** 2
-                    - F(s[0, 1].imag) ** 2 for s in (k[0::2, 0::2], k[1::2, 1::2]))
-    bits = det.numerator.bit_length() - det.denominator.bit_length()
+    ratios = [x.as_integer_ratio() for x in np.stack([k.real, k.imag], axis=-1).ravel().tolist()]
+    e = max(d.bit_length() for _, d in ratios) - 1  # every d is a power of two
+    parts = iter([n << (e + 1 - d.bit_length()) for n, d in ratios])
+    det = _gauss_det([[(next(parts), next(parts)) for _ in range(4)] for _ in range(4)])
+    bits = max(map(abs, det)).bit_length() - 4 * e - 1
     shift = bits // 2 if abs(bits) > 1000 else 0
-    return math.ldexp(math.sqrt(abs(det / F(4) ** shift)) / lam1, shift)
-
-
-def _small_eig_from_det(k: np.ndarray, lam1: float) -> float:
-    """Recover the small symplectic eigenvalue from det(K) = (lam1*lam2)^2.
-
-    The determinant is evaluated in extended precision so the result stays
-    accurate when the covariance is nearly singular.  Fallback for matrices
-    whose quadrature sectors do not decouple.
-    """
-    import mpmath as mp
-
-    with mp.workdps(50):
-        m = mp.matrix(4, 4)
-        for r in range(4):
-            for c in range(4):
-                m[r, c] = mp.mpc(k[r, c].real, k[r, c].imag)
-        det = mp.det(m)
-        value = abs(mp.sqrt(abs(det)))
-    return float(value) / lam1
+    p = 4 * e + 2 * shift
+    re, im = (x / (1 << p) if p >= 0 else float(x << -p) for x in det)
+    return math.ldexp(math.sqrt(math.hypot(re, im)) / lam1, shift)
 
 
 @dataclass(frozen=True)

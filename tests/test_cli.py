@@ -138,12 +138,26 @@ def test_readme_ris_elements_example_has_no_error_rows(tmp_path):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["sweep", "--variable", "distance", "--grid", "bad"]) == 1
-    assert main(["sweep", "--variable", "nope", "--grid", "1:2:2"]) == 1
-    assert main(["skr", "--cases", "z"]) == 1
-    assert main(["skr", "--cases", "d,d"]) == 1
-    assert main(["sweep", "--variable", "distance", "--grid", "1:2:2", "--cases", "d,f,d"]) == 1
-    assert main(["skr", "--set", "unknown_key=3"]) == 1
+    sweep = ["sweep", "--variable", "distance", "--grid"]
+    for argv, message in [
+        (sweep + ["bad"], "grid must be start:stop:count"),
+        (sweep + ["a:b:3"], "cannot parse grid 'a:b:3'"),
+        (sweep + ["1:2:0"], "grid count must be >= 1"),
+        (["sweep", "--variable", "nope", "--grid", "1:2:2"], "invalid choice: 'nope'"),
+        (["skr", "--cases", "z"], "unknown case 'z'"),
+        (["skr", "--cases", "d,d"], "case 'd' given twice"),
+        (["skr", "--cases", ","], "at least one case required"),
+        (sweep + ["1:2:2", "--cases", "d,f,d"], "case 'd' given twice"),
+        (["skr", "--set", "unknown_key=3"], "unknown key 'unknown_key'"),
+        (["optimize-phase", "--resolution", "0"], "resolution must be > 0"),
+        (["optimize-phase", "--resolution", "nan"], "resolution must be > 0"),
+    ]:
+        assert main(argv) == 1, argv
+        assert message in capsys.readouterr().err, argv
+    # a grid of one point is the start alone
+    assert main(sweep + ["5:9:1", "--cases", "d"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("5: d=")
 
 
 def test_infinite_carrier_rejected_by_name(capsys):

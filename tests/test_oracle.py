@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -213,24 +214,38 @@ def test_stacked_eigs_match_per_matrix_calls_bit_for_bit():
         assert single == tuple(lam[index])
 
 
+def _exact_det(k):
+    """det K of a decoupled 4x4 covariance, exactly."""
+    f = Fraction
+    return math.prod(f(s[0, 0].real) * f(s[1, 1].real) - f(s[0, 1].real) ** 2
+                     - f(s[0, 1].imag) ** 2 for s in (k[0::2, 0::2], k[1::2, 1::2]))
+
+
+def _reference_small_eig(k, lam1):
+    """sqrt|det K| / lam1 of a decoupled covariance, from a 50-digit square
+    root of its exact determinant."""
+    det = abs(_exact_det(k))
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)) / lam1
+
+
 def test_exact_sector_small_eig_matches_extended_precision():
     r = 4.0  # near-pure two-mode squeezed state: det K cancels to about 1
     v, corr = math.cosh(2 * r), math.sinh(2 * r)
     k = PairCov(a=(v, v), b=(v, v), c=(corr, -corr)).as_matrix()
     assert oracle._sectors_decouple(k[None])[0]
     lam1, _ = numeric_symplectic_eigs(k)
-    exact = oracle._small_eig_from_sectors(k, lam1)
-    reference = oracle._small_eig_from_det(k, lam1)
+    exact = oracle._small_eig_exact(k, lam1)
+    reference = _reference_small_eig(k, lam1)
     assert abs(exact - reference) <= 1e-15 * reference
 
 
 def _routes(monkeypatch):
     """Counts of the small-eigenvalue refinement routes, read as (rows
-    through the batched pass, exact-rational fallbacks, mpmath fallbacks)."""
+    through the batched pass, calls of the exact route)."""
     batched = _count_calls(monkeypatch, "_small_eigs_certified")
-    exact = _count_calls(monkeypatch, "_small_eig_from_sectors")
-    extended = _count_calls(monkeypatch, "_small_eig_from_det")
-    return lambda: (sum(len(args[0]) for args in batched), len(exact), len(extended))
+    exact = _count_calls(monkeypatch, "_small_eig_exact")
+    return lambda: (sum(len(args[0]) for args in batched), len(exact))
 
 
 @pytest.mark.parametrize("s", [1.0, 1e100, 1e-100])
@@ -238,8 +253,8 @@ def test_exact_sector_small_eig_holds_beyond_float_range(s):
     # det K is about 0.04 s^4: beyond the float range at 1e100 and 1e-100
     k = PairCov(a=(100.0 * s, 100.0 * s), b=(s, s), c=(9.99 * s, -9.99 * s)).as_matrix()
     lam1, lam2 = numeric_symplectic_eigs(k)
-    exact = oracle._small_eig_from_sectors(k, lam1)
-    reference = oracle._small_eig_from_det(k, lam1)
+    exact = oracle._small_eig_exact(k, lam1)
+    reference = _reference_small_eig(k, lam1)
     assert abs(exact - reference) <= 1e-15 * reference
     assert lam2 == exact
     assert lam2 == pytest.approx(2.019e-3 * s, rel=1e-3)
@@ -253,32 +268,57 @@ def test_non_finite_covariance_is_rejected_by_name(bad):
         numeric_symplectic_eigs(stack)
 
 
-def test_cross_quadrature_terms_take_extended_precision_fallback(monkeypatch):
-    # a sub-vacuum pair (lam2 / lam1 ~ 2e-5); a local rotation of the first
-    # mode keeps its symplectic spectrum but mixes x1 with p2
-    k = PairCov(a=(100.0, 100.0), b=(1.0, 1.0), c=(9.99, -9.99)).as_matrix()
-    theta = 0.3
+def _rotate_mode_1(k, theta=0.3):
+    """k with mode 1 rotated by theta: a local rotation keeps the symplectic
+    spectrum but mixes mode 1's x and p quadratures."""
     rot = np.eye(4)
     rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],
                    [math.sin(theta), math.cos(theta)]]
-    mixed = rot @ k @ rot.T
+    return rot @ k @ rot.T
+
+
+def test_cross_quadrature_terms_take_extended_precision_fallback(monkeypatch):
+    # a sub-vacuum pair (lam2 / lam1 ~ 2e-5) whose rotation mixes x1 with p2
+    k = PairCov(a=(100.0, 100.0), b=(1.0, 1.0), c=(9.99, -9.99)).as_matrix()
+    mixed = _rotate_mode_1(k)
     assert mixed[0, 3] != 0.0
     routes = _routes(monkeypatch)
     lam = numeric_symplectic_eigs(mixed)
-    assert routes() == (0, 0, 1)
+    assert routes() == (0, 1)
     assert lam[1] < 1e-2 * lam[0]
     assert lam == pytest.approx(numeric_symplectic_eigs_direct(mixed), rel=1e-7)
     assert lam == pytest.approx(numeric_symplectic_eigs(k), rel=1e-9)
-    assert routes() == (1, 0, 1)
+    assert routes() == (1, 1)
+
+
+@pytest.mark.parametrize("spectrum, lam2", [
+    ((2.0 ** 600, 2.0 ** 601, 2.0 ** -10, 2.0 ** -11), 2.0 ** -10.5),
+    ((1.0, 2.0, 2.0 ** -600, 2.0 ** -601), 2.0 ** -600.5),
+])
+def test_spread_entries_that_do_not_decouple_keep_the_small_eigenvalue(spectrum, lam2):
+    # a product state, sqrt(x p) per mode, whose rotation of mode 1 puts
+    # x-p terms in its block; an LU with a relative pivot threshold reads
+    # its determinant as 0
+    k = _rotate_mode_1(np.diag(spectrum).astype(complex))
+    assert not oracle._sectors_decouple(k[None])[0]
+    assert abs(numeric_symplectic_eigs(k)[1] - lam2) <= 1e-15 * lam2
+
+
+def test_refinement_runs_without_mpmath(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    k = PairCov(a=(100.0, 100.0), b=(1.0, 1.0), c=(9.99, -9.99)).as_matrix()
+    lam = numeric_symplectic_eigs(np.stack([_rotate_mode_1(k), k]))
+    assert lam[0] == pytest.approx(lam[1], rel=1e-9)
+    assert all(check.passed for check in run_verification(64))
 
 
 def test_run_verification_never_takes_extended_precision(monkeypatch):
     routes = _routes(monkeypatch)
     results = run_verification(200, seed=42)
     assert all(check.passed for check in results)
-    batched, exact, extended = routes()
+    batched, exact = routes()
     assert batched > 0
-    assert (exact, extended) == (0, 0)
+    assert exact == 0
 
 
 def test_batched_refinement_equals_exact_route_on_verification_grid(monkeypatch):
@@ -295,7 +335,7 @@ def test_batched_refinement_equals_exact_route_on_verification_grid(monkeypatch)
     assert sum(len(k) for k, *_ in seen) > 1000
     for k, lam1, small, certified in seen:
         assert certified.all()
-        exact = [oracle._small_eig_from_sectors(m, l) for m, l in zip(k, lam1)]
+        exact = [oracle._small_eig_exact(m, l) for m, l in zip(k, lam1)]
         assert small.tolist() == exact
 
 
@@ -306,13 +346,6 @@ def _decoupled(x, p):
     for q, (a, b, c) in enumerate((x, p)):
         k[q, q], k[q + 2, q + 2], k[q, q + 2], k[q + 2, q] = a, b, c, np.conj(c)
     return k
-
-
-def _exact_det(k):
-    """det K of a decoupled 4x4 covariance, exactly."""
-    f = Fraction
-    return math.prod(f(s[0, 0].real) * f(s[1, 1].real) - f(s[0, 1].real) ** 2
-                     - f(s[0, 1].imag) ** 2 for s in (k[0::2, 0::2], k[1::2, 1::2]))
 
 
 _WIDE = (2.0 ** 10, 2.0 ** -10, 0.0)  # a p-sector with det 1 and lam1 of 2^10
@@ -344,11 +377,9 @@ def test_unproven_roundings_take_the_exact_route(monkeypatch):
     assert not certified.any()
     routes = _routes(monkeypatch)
     lam = numeric_symplectic_eigs(stack)
-    assert routes() == (len(stack), len(stack), 0)
+    assert routes() == (len(stack), len(stack))
     for k, (lam1, lam2) in zip(stack, lam):
-        det = _exact_det(k)
-        with mpmath.workdps(50):
-            reference = float(mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)) / lam1
+        reference = _reference_small_eig(k, lam1)
         assert abs(lam2 - reference) <= 1e-15 * reference
 
 
@@ -370,7 +401,7 @@ def test_certified_rows_round_det_k_as_the_exact_route(x, p):
     k = _decoupled(x, p)
     small, certified = oracle._small_eigs_certified(k[None], np.array([1.0]))
     if certified[0]:
-        assert small[0] == oracle._small_eig_from_sectors(k, 1.0)
+        assert small[0] == oracle._small_eig_exact(k, 1.0)
 
 
 # --- independent-probe attack model ------------------------------------------

@@ -79,6 +79,8 @@ ROUND_TRIP = {
     "defaults": {},
     "distance-and-paths": dict(distance_alice_bob_m=7, extra_paths_d=3),
     "leg-and-antennas": dict(distance_alice_ris_m=5, tx_antennas=16),
+    "alias-and-paths": {"d_ab": 7, "extra_paths_d": 3},
+    "string-count": {"tx_antennas": "16"},
 }
 
 
