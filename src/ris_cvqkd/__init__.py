@@ -10,7 +10,7 @@ from .experiments import (PhaseOptimum, SweepResult, SweepSpec, SweepVariable,
                           evaluate_scenario, max_secure_distance,
                           no_ris_baseline, optimal_phase, run_sweep)
 from .qkd import (AncillaCase, AttackModel, BranchRecord, NoiseModel,
-                  NumericDomainError, PairCov, Path, SkrReport, holevo_h,
+                  NumericDomainError, PairCov, SkrReport, holevo_h,
                   thermal_occupation, total_skr)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

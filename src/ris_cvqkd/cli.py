@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimize-phase", help="search the optimal common phase")
     common(p)
     p.add_argument("--resolution", type=float, default=math.pi / 256,
-                   help="phase grid step in radians")
+                   help="phase grid step in radians, at least pi / 2**16")
     p.set_defaults(fn=_cmd_optimize_phase)
 
     p = sub.add_parser("max-distance", help="largest distance with positive rate")

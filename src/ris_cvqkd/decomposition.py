@@ -27,20 +27,6 @@ class SvdBundle:
     betas: np.ndarray  # squared singular values above the cutoff; rank = len(betas)
 
 
-@dataclass(frozen=True)
-class SvdStack:
-    """Singular-value record of a stack of P channel matrices: row p of the
-    (P, k) ``values`` holds matrix p's squared singular values, sorted
-    descending, of which the first ``ranks[p]`` lie above the cutoff.
-    Item p is matrix p's bundle."""
-
-    values: np.ndarray
-    ranks: np.ndarray
-
-    def __getitem__(self, p: int) -> SvdBundle:
-        return SvdBundle(betas=self.values[p, :self.ranks[p]])
-
-
 @dataclass(frozen=True, eq=False)
 class BranchSet:
     """Parallel branches: each field is a Python scalar for one branch, or an
@@ -122,26 +108,27 @@ def make_branch(beta_d: float, beta_g: float, beta_f: float, phi: float) -> Bran
     return branch_set([(float(beta_d), float(beta_g), float(beta_f))], float(phi))[0]
 
 
-def singular_values(stack) -> SvdStack:
-    """The squared singular values of each matrix of a (P, n, m) stack,
-    sorted descending, each matrix's rank counted above ``RANK_CUTOFF``
-    times its largest."""
+def singular_values(stack) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ranks) of a (P, n, m) stack: row p of the (P, k) ``values``
+    holds matrix p's squared singular values, sorted descending, of which
+    the first ``ranks[p]`` lie above ``RANK_CUTOFF`` times its largest."""
     try:
         sv = np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD did not converge: {exc}") from exc
     kept = sv > RANK_CUTOFF * sv.max(axis=-1, keepdims=True, initial=0.0)  # sorted: prefixes
-    return SvdStack(np.square(sv), np.count_nonzero(kept, axis=-1))
+    return np.square(sv), np.count_nonzero(kept, axis=-1)
 
 
 def decompose(t: ChannelTriple) -> tuple[SvdBundle, SvdBundle, SvdBundle]:
     """Singular values of all three channels, sorted descending."""
-    return tuple(singular_values(h[None])[0] for h in (t.h_d, t.h_g, t.h_f))
+    stacks = (singular_values(h[None]) for h in (t.h_d, t.h_g, t.h_f))
+    return tuple(SvdBundle(betas=values[0, :ranks[0]]) for values, ranks in stacks)
 
 
 def pair_points(stacks, phi) -> tuple[BranchSet, list[int], list[int]]:
-    """Pair the branches of P points at once from the ``SvdStack`` of each
-    of the (d, g, f) channels.
+    """Pair the branches of P points at once from the ``singular_values``
+    (values, ranks) of each of the (d, g, f) channels.
 
     A point's branch count r is the smallest of its three channels' ranks,
     and its branch i, the point's i-th record, pairs the i-th strongest value
@@ -152,11 +139,11 @@ def pair_points(stacks, phi) -> tuple[BranchSet, list[int], list[int]]:
     Returns (the branches joined in point order, the branch count per
     point, the clamp count per point).
     """
-    counts = np.min([s.ranks for s in stacks], axis=0)
-    paired = [np.arange(s.values.shape[1]) < counts[:, None] for s in stacks]
-    betas = np.stack([s.values[m] for s, m in zip(stacks, paired)], axis=1)  # d, g, f
-    clamped = sum(np.count_nonzero((s.values > 1.0 + 1e-12) & m, axis=1)
-                  for s, m in zip(stacks, paired))
+    values, ranks = zip(*stacks)
+    counts = np.min(ranks, axis=0)
+    paired = [np.arange(v.shape[1]) < counts[:, None] for v in values]
+    betas = np.stack([v[m] for v, m in zip(values, paired)], axis=1)  # d, g, f
+    clamped = sum(np.count_nonzero((v > 1.0 + 1e-12) & m, axis=1) for v, m in zip(values, paired))
     return branch_set(np.minimum(betas, 1.0), phi), counts.tolist(), clamped.tolist()
 
 
@@ -164,6 +151,6 @@ def branch_params(bundles: tuple[SvdBundle, SvdBundle, SvdBundle],
                   ris: RisGeometry) -> tuple[BranchSet, int]:
     """The branches of one point's (d, g, f) bundles at the RIS common phase,
     paired by ``pair_points``, and the point's clamp count."""
-    branches, _, (clamped,) = pair_points(
-        [SvdStack(b.betas[None], np.array([len(b.betas)])) for b in bundles], ris.common_phase)
+    branches, _, (clamped,) = pair_points([(b.betas[None], [len(b.betas)]) for b in bundles],
+                                          ris.common_phase)
     return branches, clamped

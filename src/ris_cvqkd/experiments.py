@@ -38,6 +38,7 @@ _BLOCK_ENTRIES = 8_192
 _GOLDEN_STEPS = 4
 _BISECTION_STEPS = 5
 _UNIT = [1.0]  # the scale of a scenario's own geometry
+_FINEST_RESOLUTION = math.pi / 2**16  # 65537 scan phases; the golden ascent ends at 1e-9 rad
 
 
 class SweepVariable(enum.Enum):
@@ -294,6 +295,9 @@ def optimal_phase(base: Scenario, case: AncillaCase,
     """
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
+    if resolution < _FINEST_RESOLUTION:
+        raise ValueError(f"resolution must be >= pi / 2**16 = {_FINEST_RESOLUTION:.6g} "
+                         f"(at most 65537 scan phases), got {resolution!r}")
     totals = _case_totals(case, *_grid(base, SweepVariable.RIS_PHASE))
     points = max(2, int(math.ceil(math.pi / resolution)) + 1)
     grid = [math.pi * i / (points - 1) for i in range(points)]

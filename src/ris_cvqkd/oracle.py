@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import PathSpec, Scenario
 from .decomposition import BranchSet, _complex, branch_set
-from .qkd import AncillaCase, NoiseModel, NumericDomainError, Path, _abs, _sq, total_skr
+from .qkd import AncillaCase, NoiseModel, NumericDomainError, _abs, _sq, total_skr
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
 REGISTER_MODES = 7  # A, E_d, E'_d, E_g, E'_g, E_f, E'_f
@@ -409,8 +409,9 @@ def _phase_shift(theta: float, i: int) -> np.ndarray:
     return _mode_map(REGISTER_MODES, {(i, i): _complex_block(cmath.exp(1j * theta))})
 
 
-def independent_symplectic(path: Path, b: BranchSet) -> np.ndarray:
-    """14x14 real symplectic map of one receiver path with one EPR pair per hop.
+def independent_symplectic(case: AncillaCase, b: BranchSet) -> np.ndarray:
+    """14x14 real symplectic map, one EPR pair per hop, of the receiver path
+    of ``case``'s stored hop: direct for the direct case, else reflected.
 
     After the map, slot A holds Bob's mode on that path, slot E_x the
     eavesdropper's output of hop x, and slot E'_x her kept half of that
@@ -422,7 +423,7 @@ def independent_symplectic(path: Path, b: BranchSet) -> np.ndarray:
     same way (-phi on E_f) while counter-rotating her kept half (+phi on
     E'_f).  Local rotations of the stored modes change no entropy.
     """
-    if path is Path.DIRECT:
+    if case is AncillaCase.DIRECT:
         return _beamsplitter(b.beta_d, 0, 1)
     network = (_beamsplitter(b.beta_f, 0, 5) @ _phase_shift(b.phi, 0)
                @ _beamsplitter(b.beta_g, 0, 3))
@@ -444,18 +445,17 @@ def independent_input_cov(n: NoiseModel) -> np.ndarray:
     return v
 
 
-def independent_output_cov(path: Path, b: BranchSet, n: NoiseModel) -> np.ndarray:
-    """Register covariance after one path's network, S V S^T."""
-    s = independent_symplectic(path, b)
+def independent_output_cov(case: AncillaCase, b: BranchSet, n: NoiseModel) -> np.ndarray:
+    """Register covariance after the network of ``case``'s path, S V S^T."""
+    s = independent_symplectic(case, b)
     return s @ independent_input_cov(n) @ s.T
 
 
 def _independent_joint(case: AncillaCase, b: BranchSet, n: NoiseModel) -> np.ndarray:
     """6x6 covariance over (Bob's conditioning mode, stored output, kept half)."""
     out = {AncillaCase.DIRECT: 1, AncillaCase.ALICE_RIS: 3, AncillaCase.RIS_BOB: 5}[case]
-    path = Path.DIRECT if case is AncillaCase.DIRECT else Path.RIS
     idx = [0, 1, 2 * out, 2 * out + 1, 2 * out + 2, 2 * out + 3]
-    return independent_output_cov(path, b, n)[np.ix_(idx, idx)]
+    return independent_output_cov(case, b, n)[np.ix_(idx, idx)]
 
 
 def independent_stored_cov(case: AncillaCase, b: BranchSet,

@@ -71,13 +71,6 @@ class AttackModel(enum.Enum):
     INDEPENDENT = "independent"  # one EPR pair per hop
 
 
-class Path(enum.Enum):
-    """Receiver-side signal path used for a mutual-information term."""
-
-    DIRECT = "direct"
-    RIS = "ris"
-
-
 def thermal_occupation(f_c: float, t_e: float) -> float:
     """Mean thermal photon number 1/(exp(h f / k T) - 1), overflow-safe."""
     if not (0 < f_c < math.inf and 0 < t_e < math.inf):
@@ -339,11 +332,8 @@ def holevo_h(lam):
     return out if out.ndim else float(out)
 
 
-def _mutual_info(path: Path, bv: BobVariances) -> np.ndarray:
-    if path is Path.DIRECT:
-        num, den = bv.v_b_d, bv.v_b_d_cond
-    else:
-        num, den = bv.v_b_ris, bv.v_b_ris_cond
+def _mutual_info(num, den) -> np.ndarray:
+    """I_AB on one path from Bob's variance and its conditional variance."""
     if (den <= 0.0).any():
         raise NumericDomainError("conditional variance is zero")
     return 0.5 * _log2(num / den)
@@ -443,7 +433,8 @@ def total_skr(case: AncillaCase, branches, n: NoiseModel, *,
     """
     b = BranchSet.of(branches)
     bv = _bob_variances(b, n, model)
-    i_d, i_r = _mutual_info(Path.DIRECT, bv), _mutual_info(Path.RIS, bv)
+    i_d = _mutual_info(bv.v_b_d, bv.v_b_d_cond)
+    i_r = _mutual_info(bv.v_b_ris, bv.v_b_ris_cond)
     stored = _eve_cov(case, b, n, model)
     lam1, lam2 = _two_mode_eigs(stored)
     cond = _conditioned(case, b, n, model, bv, stored)

@@ -151,6 +151,7 @@ def test_usage_error_exit_code(capsys):
         (["skr", "--set", "unknown_key=3"], "unknown key 'unknown_key'"),
         (["optimize-phase", "--resolution", "0"], "resolution must be > 0"),
         (["optimize-phase", "--resolution", "nan"], "resolution must be > 0"),
+        (["optimize-phase", "--resolution", "1e-9"], "resolution must be >= pi / 2**16"),
     ]:
         assert main(argv) == 1, argv
         assert message in capsys.readouterr().err, argv

@@ -235,6 +235,21 @@ def test_optimal_phase_known_endpoints():
     assert opt_g.phi_star <= 2.0 * math.pi / 128 + 1e-9
 
 
+def test_optimal_phase_rejects_a_scan_finer_than_its_floor(monkeypatch):
+    # 1e-9 would scan 3,141,592,655 phases and 5e-324 overflows math.ceil:
+    # each is rejected before the base is decomposed or a grid is built
+    base = default_scenario()
+    floor = math.pi / 2**16  # a scan of 65,537 phases
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_grid", lambda *args: pytest.fail("the base was decomposed"))
+        for resolution in (1e-9, 1e-300, 5e-324, math.nextafter(floor, 0.0)):
+            with pytest.raises(ValueError, match=r"resolution must be >= pi / 2\*\*16"):
+                optimal_phase(base, AncillaCase.DIRECT, resolution)
+    calls = _count_rated_branches(monkeypatch)
+    assert 0.0 <= optimal_phase(base, AncillaCase.DIRECT, floor).phi_star <= math.pi
+    assert sum(calls) >= 65_537
+
+
 # the bracket searches of optimal_phase and max_secure_distance, on synthetic
 # batched rates
 _REACH_GRID = [0.5 + 199.5 * i / 63 for i in range(64)]

@@ -11,16 +11,28 @@ to rates, on a few fixed scenarios.
   back to the scenario that ``make_scenario`` builds from the same keys.
 - *Distance.*  On line of sight, every case's rate is non-increasing in the
   Alice-Bob distance, up to the entropy rounding floor.
+- *Path order.*  The order of the extra paths behind each channel's first
+  path moves no branch rate beyond the entropy rounding floor.
+- *Moved endpoints.*  ``oracle.scenario_at_distance(s, d)`` rated by
+  ``evaluate_scenario`` equals the distance-sweep row at d bit for bit.
+- *Independent probes.*  Under ``AttackModel.INDEPENDENT`` no branch rate
+  depends on the common phase at all.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ris_cvqkd.channel import channel_factors
 from ris_cvqkd.config import default_scenario, load_scenario, make_scenario, serialize_params
-from ris_cvqkd.experiments import SweepSpec, SweepVariable, evaluate_scenario, run_sweep
-from ris_cvqkd.qkd import AncillaCase
+from ris_cvqkd.experiments import (SweepSpec, SweepVariable, _points, evaluate_scenario,
+                                   run_sweep)
+from ris_cvqkd.oracle import scenario_at_distance
+from ris_cvqkd.qkd import AncillaCase, AttackModel, total_skr
 
 # entropy rounding of one branch rate: four terms of up to ~1e4, each
 # rounded to about 2**-40 (as in tests/test_batched.py)
@@ -32,6 +44,9 @@ SCENARIOS = {
     "short-leg": dict(distance_alice_ris_m=5.0),
 }
 FAR_NOISY = dict(distance_alice_bob_m=50.0, eve_variance_snu=2.0)
+RICH = dict(extra_paths_d=31, extra_paths_g=31, extra_paths_f=31,  # criterion 9's scenario
+            extra_path_angle_spread_rad=1.0, extra_path_excess_length=1.001)
+SEEDED = settings(derandomize=True, database=None, deadline=None)
 
 OWN_VALUE = {
     SweepVariable.DISTANCE_AB: lambda s: s.d_alice_bob,
@@ -102,3 +117,48 @@ def test_rate_is_non_increasing_in_distance_on_line_of_sight():
     for case in AncillaCase:
         rates = np.array([row.reports[case].total_skr for row in rows])
         assert np.diff(rates).max() <= BRANCH_ABS_TOL
+
+
+@settings(SEEDED, max_examples=30)
+@given(params=st.sampled_from([RICH, SCENARIOS["extra-paths"]]),
+       distance=st.sampled_from([2.0, 10.0, 40.0]), data=st.data())
+def test_rate_does_not_depend_on_the_order_of_the_extra_paths(params, distance, data):
+    # the first path stays first: it sets the channel's leg length
+    base = make_scenario({**params, "distance_alice_bob_m": distance})
+    reordered = {}
+    for name in ("multipaths_d", "multipaths_g", "multipaths_f"):
+        first, *extra = getattr(base, name)
+        reordered[name] = (first, *data.draw(st.permutations(extra)))
+    want, got = evaluate_scenario(base), evaluate_scenario(dataclasses.replace(base, **reordered))
+    for case in AncillaCase:
+        assert len(got[case].rates.skr) == len(want[case].rates.skr)
+        assert np.abs(got[case].rates.skr - want[case].rates.skr).max() <= BRANCH_ABS_TOL
+
+
+@settings(SEEDED, max_examples=60)
+@given(legs=st.fixed_dictionaries({}, optional={"distance_alice_ris_m": st.floats(1.0, 20.0),
+                                                "distance_ris_bob_m": st.floats(1.0, 20.0)}),
+       distance=st.floats(0.5, 200.0))
+def test_scenario_moved_to_a_distance_equals_the_distance_sweep_row(legs, distance):
+    base = make_scenario(legs)
+    (row,) = run_sweep(SweepSpec(SweepVariable.DISTANCE_AB, (distance,), base)).rows
+    want = evaluate_scenario(scenario_at_distance(base, distance))
+    assert row.error is None
+    for case in AncillaCase:
+        got = row.reports[case]
+        assert got.total_skr == want[case].total_skr
+        assert got.total_holevo == want[case].total_holevo
+        assert got.rates.skr.tobytes() == want[case].rates.skr.tobytes()
+
+
+@settings(SEEDED, max_examples=20)
+@given(params=st.sampled_from([*SCENARIOS.values(), FAR_NOISY]), phi=st.floats(-10.0, 10.0))
+def test_independent_rate_does_not_depend_on_the_common_phase(params, phi):
+    def rates(phase):
+        scenario = make_scenario({**params, "ris_phase_rad": phase})
+        branches, _, _, noise = _points(channel_factors(scenario), [1.0])
+        return [total_skr(case, branches, noise, model=AttackModel.INDEPENDENT).rates.skr
+                for case in AncillaCase]
+
+    for got, want in zip(rates(phi), rates(0.0)):
+        assert np.array_equal(got, want)
