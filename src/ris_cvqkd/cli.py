@@ -19,6 +19,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+_MAX_GRID_POINTS = 2**16 + 1  # the finest phase scan's count (pi / 2**16 apart)
 
 
 class UsageError(Exception):
@@ -58,8 +59,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         count = int(parts[2])
     except ValueError:
         raise UsageError(f"cannot parse grid {text!r}") from None
-    if count < 1:
-        raise UsageError("grid count must be >= 1")
+    if not 1 <= count <= _MAX_GRID_POINTS:
+        raise UsageError(f"grid count must be >= 1 and <= {_MAX_GRID_POINTS}, got {count}")
     if count == 1:
         return (start,)
     step = (stop - start) / (count - 1)
@@ -226,7 +227,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--variable", required=True,
                    choices=[v.value for v in SweepVariable])
-    p.add_argument("--grid", required=True, metavar="START:STOP:COUNT")
+    p.add_argument("--grid", required=True, metavar="START:STOP:COUNT",
+                   help=f"COUNT points, at most {_MAX_GRID_POINTS}")
     p.add_argument("--output", help="CSV output path")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -242,14 +244,14 @@ def build_parser() -> _Parser:
     p.add_argument("--d-min", type=float, default=0.5)
     p.add_argument("--d-max", type=float, default=200.0)
     p.add_argument("--grid", metavar="START:STOP:COUNT",
-                   help="optional carrier-frequency grid (Hz)")
+                   help=f"optional carrier-frequency grid (Hz), at most {_MAX_GRID_POINTS} points")
     p.add_argument("--output", help="CSV output path")
     p.set_defaults(fn=_cmd_max_distance)
 
     p = sub.add_parser("baseline", help="key rate with the RIS path removed")
     common(p, cases=False)
     p.add_argument("--grid", metavar="START:STOP:COUNT",
-                   help="distance grid in meters")
+                   help=f"distance grid in meters, at most {_MAX_GRID_POINTS} points")
     p.add_argument("--output", help="CSV output path")
     p.set_defaults(fn=_cmd_baseline)
 

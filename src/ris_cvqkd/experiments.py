@@ -106,14 +106,6 @@ def evaluate_scenario(scenario: Scenario,
     return _block_reports(functools.partial(_points, channel_factors(scenario)), cases, _UNIT)[0]
 
 
-def _distance_scale(base: Scenario, d_ab: float) -> float:
-    """The scale of every path of ``base`` when the endpoints move to
-    ``d_ab``: each leg keeps its ratio to the Alice-Bob distance."""
-    if not d_ab > 0:
-        raise ValueError("distance must be > 0")
-    return d_ab / base.d_alice_bob
-
-
 def _whole(value, what: str) -> int:
     n = int(value)
     if n != value:
@@ -167,14 +159,6 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
 
 
-def _block_points(factors: ChannelFactors) -> int:
-    """Distance points per block: the stack of the largest min(n, L) x min(m, L)
-    core stays within ``_BLOCK_ENTRIES`` entries, with one point at least."""
-    largest = max(len(r_arrival) * len(r_departure)
-                  for *_, r_arrival, r_departure in factors.channels)
-    return max(1, _BLOCK_ENTRIES // max(1, largest))
-
-
 def _rate_blocks(values, size: int, rate) -> list:
     """Per-point results of a grid, ``size`` points at a time, where
     ``rate(block)`` gives a block's results in order.  A block that raises
@@ -217,28 +201,26 @@ def _checked(outcomes: list) -> list:
     return outcomes
 
 
-def _phase_points(decomposed, phis):
-    """The ``_points`` of one decomposed scenario at each phase, folded by
-    ``fold_phase``: its branches repeated phase by phase, in branch order
-    within a phase."""
-    branches, (count,), (clamped,), noise = decomposed
-    phis = [fold_phase(phi) for phi in phis]
-    return (branch_set(np.tile(branches.betas, (len(phis), 1)), np.repeat(phis, len(branches))),
-            [count] * len(phis), [clamped] * len(phis), noise)
-
-
 def _grid(base: Scenario, variable: SweepVariable):
     """``(size, points)`` of a grid over ``variable``, the one definition of
     both: every driver rates ``size`` values at a time, and ``points(block)``
-    gives the ``_points`` of a block.  Distance blocks rescale the paths of the
-    base's factors.  The phase leaves the channels alone: the base is rated
-    once, and every block reuses its outcome (a failure too); a block holds
-    at most ``_BLOCK_ENTRIES`` branches, per phase the smallest core dimension
-    of the three channels.  Other variables rebuild the scenario per point."""
+    gives the ``_points`` of a block.  A distance d scales every path of the
+    base's factors by d / d_ab, and a block keeps the stack of the largest
+    core within ``_BLOCK_ENTRIES`` entries.  The phase leaves the channels
+    alone: the base is rated once, and every block repeats its branches per
+    folded phase (or raises its failure); a block holds at most
+    ``_BLOCK_ENTRIES`` branches, per phase the smallest core dimension of the
+    three channels.  Other variables rebuild the scenario per point."""
     if variable is SweepVariable.DISTANCE_AB:
         factors = channel_factors(base)
-        return _block_points(factors), lambda distances: _points(
-            factors, [_distance_scale(base, d) for d in distances])
+
+        def distance_points(distances):
+            if not all(d > 0 for d in distances):
+                raise ValueError("distance must be > 0")
+            return _points(factors, [d / base.d_alice_bob for d in distances])
+        largest = max(len(r_arrival) * len(r_departure)
+                      for *_, r_arrival, r_departure in factors.channels)
+        return max(1, _BLOCK_ENTRIES // max(1, largest)), distance_points
     if variable is SweepVariable.RIS_PHASE:
         factors = channel_factors(base)
         decomposed = _rate_blocks(_UNIT, 1, lambda unit: [_points(factors, unit)])[0]
@@ -247,7 +229,11 @@ def _grid(base: Scenario, variable: SweepVariable):
         def phase_points(phis):
             if isinstance(decomposed, Exception):
                 raise decomposed.with_traceback(origin)
-            return _phase_points(decomposed, phis)
+            branches, (count,), (clamped,), noise = decomposed
+            phis = [fold_phase(phi) for phi in phis]
+            return (branch_set(np.tile(branches.betas, (len(phis), 1)),
+                               np.repeat(phis, len(branches))),
+                    [count] * len(phis), [clamped] * len(phis), noise)
         per_phase = min(min(len(r_arrival), len(r_departure))
                         for *_, r_arrival, r_departure in factors.channels)
         return max(1, _BLOCK_ENTRIES // max(1, per_phase)), phase_points

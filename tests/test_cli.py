@@ -137,12 +137,20 @@ def test_readme_ris_elements_example_has_no_error_rows(tmp_path):
     assert not any("error:" in line for line in lines)
 
 
+def test_grid_count_is_bounded_by_the_finest_phase_scan():
+    with pytest.raises(cli.UsageError, match="<= 65537, got 65538"):
+        cli._parse_grid("1:2:65538")
+    grid = cli._parse_grid("0:1:65537")
+    assert len(grid) == 65537 and grid[0] == 0.0 and grid[-1] == 1.0
+
+
 def test_usage_error_exit_code(capsys):
     sweep = ["sweep", "--variable", "distance", "--grid"]
     for argv, message in [
         (sweep + ["bad"], "grid must be start:stop:count"),
         (sweep + ["a:b:3"], "cannot parse grid 'a:b:3'"),
         (sweep + ["1:2:0"], "grid count must be >= 1"),
+        (sweep + ["1:2:4000000000"], "<= 65537, got 4000000000"),
         (["sweep", "--variable", "nope", "--grid", "1:2:2"], "invalid choice: 'nope'"),
         (["skr", "--cases", "z"], "unknown case 'z'"),
         (["skr", "--cases", "d,d"], "case 'd' given twice"),

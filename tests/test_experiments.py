@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_cvqkd import channel, experiments, oracle
-from ris_cvqkd.channel import channel_factors
 from ris_cvqkd.cli import emit_csv
 from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, evaluate_scenario,
@@ -517,7 +516,7 @@ def test_distance_blocks_equal_rebuilt_scenarios(overrides):
     # again point by point, and ordinary rows in the second
     base = default_scenario(**overrides)
     grid = (1e308, 1e4, 120.0, 60.0, 33.0, 15.0, 9.7, 4.0, 2.0, 1.3, 0.7, -1.0)
-    assert experiments._block_points(channel_factors(base)) == 8 < len(grid)
+    assert experiments._grid(base, SweepVariable.DISTANCE_AB)[0] == 8 < len(grid)
     result = run_sweep(SweepSpec(variable=SweepVariable.DISTANCE_AB, grid=grid, base=base))
     for d, row in zip(grid, result.rows):
         try:
@@ -554,7 +553,7 @@ def test_blocks_are_sized_by_cores(monkeypatch):
     # 32 x 32 cores of the rich scenario give 8 points a block; the 1 x 1
     # cores of line of sight put the whole 64-point reach scan in one call,
     # and each bisection call rates the midpoints of the next levels
-    assert experiments._block_points(channel_factors(default_scenario(**RICH))) == 8
+    assert experiments._grid(default_scenario(**RICH), SweepVariable.DISTANCE_AB)[0] == 8
     calls = _count_rated_branches(monkeypatch)
     max_secure_distance(default_scenario(), AncillaCase.RIS_BOB)
     assert calls[0] == 64 and len(calls) <= 3

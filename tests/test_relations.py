@@ -17,6 +17,9 @@ to rates, on a few fixed scenarios.
   ``evaluate_scenario`` equals the distance-sweep row at d bit for bit.
 - *Independent probes.*  Under ``AttackModel.INDEPENDENT`` no branch rate
   depends on the common phase at all.
+- *Transparent stored tap.*  With the stored hop's transmissivity exactly 1,
+  the Holevo term is 0 up to the entropy rounding floor: under
+  ``INDEPENDENT`` for every case, under ``PAPER`` for the direct case.
 """
 
 import dataclasses
@@ -24,15 +27,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_cvqkd.channel import channel_factors
 from ris_cvqkd.config import default_scenario, load_scenario, make_scenario, serialize_params
+from ris_cvqkd.decomposition import make_branch
 from ris_cvqkd.experiments import (SweepSpec, SweepVariable, _points, evaluate_scenario,
                                    run_sweep)
 from ris_cvqkd.oracle import scenario_at_distance
-from ris_cvqkd.qkd import AncillaCase, AttackModel, total_skr
+from ris_cvqkd.qkd import AncillaCase, AttackModel, NoiseModel, total_skr
 
 # entropy rounding of one branch rate: four terms of up to ~1e4, each
 # rounded to about 2**-40 (as in tests/test_batched.py)
@@ -162,3 +166,25 @@ def test_independent_rate_does_not_depend_on_the_common_phase(params, phi):
 
     for got, want in zip(rates(phi), rates(0.0)):
         assert np.array_equal(got, want)
+
+
+TRANSPARENT_TAPS = [(AttackModel.PAPER, AncillaCase.DIRECT),
+                    *((AttackModel.INDEPENDENT, case) for case in AncillaCase)]
+
+
+# The lambda_3 ~ lambda_4 cancellation in qkd._conditional_eigs gives a false
+# sub-vacuum lambda_4 and a Holevo term up to about 2e-6 on a few percent of
+# these draws; its fix moves lambda bits that tests/data/closed_forms.txt pins
+@pytest.mark.xfail(strict=True, reason="lambda_3/lambda_4 cancellation (ROADMAP item 8)")
+@settings(SEEDED, max_examples=40)
+@given(others=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       phi=st.floats(0.0, 2.0 * math.pi), v_s=st.floats(1.0, 2000.0), v_e=st.floats(1.0, 20.0))
+@example(others=(0.9565489554251437, 0.5696480438757227), phi=1.234901994753134,
+         v_s=674.6506248541799, v_e=17.69663621104134)
+def test_a_transparent_stored_tap_leaks_nothing(others, phi, v_s, v_e):
+    noise = NoiseModel.from_link(1e13, 300.0, v_s=v_s, v_e=v_e)
+    for model, case in TRANSPARENT_TAPS:
+        betas = list(others)
+        betas.insert("dgf".index(case.value), 1.0)  # the stored hop is transparent
+        rec = total_skr(case, [make_branch(*betas, phi)], noise, model=model).branches[0]
+        assert abs(rec.holevo) <= BRANCH_ABS_TOL, (model, case, rec.lambda_3, rec.lambda_4)

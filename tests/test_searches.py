@@ -11,11 +11,13 @@ rated point, a comparison or a stop shows as a different result.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_cvqkd import experiments
+from ris_cvqkd.channel import fold_phase
 from ris_cvqkd.config import default_scenario
 from ris_cvqkd.experiments import (PhaseOptimum, evaluate_scenario, max_secure_distance,
                                    optimal_phase)
@@ -133,47 +135,47 @@ def test_reach_search_equals_sequential_reference(scenario, case, tolerance, d_m
     assert got == reference_reach(base, case, tolerance, d_max, grid_points)
 
 
-def _points_of(points) -> list:
-    return points if isinstance(points, list) else [points]
-
-
 SEARCHES = {
-    # the search, its reference, and the helper every rated point passes
+    # the search, its reference, the pipeline seam every rated block passes,
+    # the points of one call there, and a reference point as the seam sees it
     "phase": (lambda base, case: optimal_phase(base, case),
               lambda base, case, visited: reference_phase(base, case, math.pi / 256, visited),
-              "_phase_points", dict(d_ab=50.0)),
+              "branch_set", lambda betas, phis: list(dict.fromkeys(np.ravel(phis).tolist())),
+              lambda base, phi: fold_phase(phi), dict(d_ab=50.0)),
     "reach": (lambda base, case: max_secure_distance(base, case, d_max=175.0),
               lambda base, case, visited: reference_reach(base, case, 0.01, 175.0, 64, visited),
-              "_distance_scale", dict(eve_variance_snu=2.0)),
+              "cores_at", lambda factors, scales: list(scales),
+              lambda base, d: d / base.d_alice_bob, dict(eve_variance_snu=2.0)),
 }
 
 
 @pytest.mark.parametrize("search", sorted(SEARCHES))
 def test_only_points_the_loop_reads_raise(monkeypatch, search):
-    run, reference, helper, overrides = SEARCHES[search]
+    run, reference, seam, points_of, seen_as, overrides = SEARCHES[search]
     base, case = default_scenario(**overrides), AncillaCase.RIS_BOB
     visited = []
     want = reference(base, case, visited)
-    original, rated = getattr(experiments, helper), []
+    visited = [seen_as(base, x) for x in visited]
+    original, rated = getattr(experiments, seam), []
 
-    def recorded(first, points):
-        rated.extend(_points_of(points))
-        return original(first, points)
+    def recorded(*args):
+        rated.extend(points_of(*args))
+        return original(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, helper, recorded)
+        patch.setattr(experiments, seam, recorded)
         assert run(base, case) == want
     unvisited = [x for x in rated if x not in visited]
     assert unvisited  # the lookahead rates points the loop never reads
     for bad in (unvisited[0], visited[-1]):
 
-        def failing(first, points, bad=bad):
-            if bad in _points_of(points):
+        def failing(*args, bad=bad):
+            if bad in points_of(*args):
                 raise ValueError("probe fails")
-            return original(first, points)
+            return original(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, helper, failing)
+            patch.setattr(experiments, seam, failing)
             if bad in visited:  # raised as by a search of one point per step
                 with pytest.raises(ValueError, match="probe fails"):
                     run(base, case)
