@@ -4,9 +4,10 @@ Everything here is rebuilt from first principles: the joint covariance of
 (Bob's conditioning mode, stored output, kept EPR half) is assembled directly
 from the linear input-output relations, conditioning is a generic Schur
 complement on the measured quadrature, and symplectic eigenvalues come from a
-numeric eigensolver.  ``run_verification`` works on stacks: for each block of
-draws it builds every covariance into one array and runs the eigensolver once
-per block.  Tests and the ``verify`` command are the only consumers.
+numeric eigensolver.  ``run_verification`` rates each block of draws with one
+closed-form pass per case, then checks it in chunks: each chunk's covariances
+go into one array and through one eigensolve.  Tests and the ``verify``
+command are the only consumers.
 
 The independent-probe attack model is built here as an explicit real
 symplectic matrix over the register (A, E_d, E'_d, E_g, E'_g, E_f, E'_f):
@@ -37,7 +38,8 @@ from .qkd import AncillaCase, NoiseModel, NumericDomainError, _abs, _sq, total_s
 
 PAIR_TOL = 1e-7  # relative tolerance for the +/- eigenvalue pairing
 REGISTER_MODES = 7  # A, E_d, E'_d, E_g, E'_g, E_f, E'_f
-VERIFY_BLOCK = 64  # draws per stacked eigensolve in run_verification; bounds its memory
+VERIFY_BLOCK = 512  # draws per closed-form pass (one total_skr per case) in run_verification
+VERIFY_CHUNK = 64  # draws per stacked eigensolve of a block; bounds the oracle's memory
 _U, _SPLIT = 2.0 ** -53, 2.0 ** 27 + 1.0  # binary64 unit roundoff; Veltkamp's splitter
 
 
@@ -183,10 +185,12 @@ def numeric_symplectic_eigs(k: np.ndarray):
     herm = root @ _J_OMEGA4 @ root
     herm = 0.5 * (herm + herm.conj().swapaxes(1, 2))
     lam = _paired(np.abs(np.linalg.eigvalsh(herm)))
-    refine = np.flatnonzero((lam[:, 0] > 0.0) & (lam[:, 1] < 1e-2 * lam[:, 0]))
-    rows = refine[_sectors_decouple(stack[refine])]
+    refine = (lam[:, 0] > 0.0) & (lam[:, 1] < 1e-2 * lam[:, 0])
+    rows = np.flatnonzero(refine)
+    rows = rows[_sectors_decouple(stack[rows])]
     lam[rows, 1], certified = _small_eigs_certified(stack[rows], lam[rows, 0])
-    for i in np.setdiff1d(refine, rows[certified]):
+    refine[rows[certified]] = False  # a mask, not np.setdiff1d, which imports numpy.ma
+    for i in np.flatnonzero(refine):
         lam[i, 1] = _small_eig_exact(stack[i], lam[i, 0])
     if k.ndim == 2:
         return float(lam[0, 0]), float(lam[0, 1])
@@ -337,8 +341,11 @@ def run_verification(draws: int, seed: int = 42) -> list[CheckResult]:
 
     Draws are taken in blocks of ``VERIFY_BLOCK``, each as one branch set.
     The closed forms run once per block and case through ``qkd.total_skr``,
-    the code that production runs; the oracle side (joint covariances,
-    stored pairs, Schur complements and one eigensolve) runs on stacks.
+    the code that production runs, and the joint-covariance entries are
+    built once per block.  The oracle side (joint covariances, stored pairs,
+    Schur complements and one eigensolve) runs on stacks of ``VERIFY_CHUNK``
+    draws of the block, each against its span of the reports
+    (``SkrReport.split``), so its memory does not grow with the block.
     """
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
@@ -350,21 +357,25 @@ def run_verification(draws: int, seed: int = 42) -> list[CheckResult]:
     for start in range(0, draws, VERIFY_BLOCK):
         m = min(VERIFY_BLOCK, draws - start)
         branches, noise = random_block(rng, m)
-        reports = [total_skr(case, branches, noise) for case in cases]
-        closed = np.array([[r.rates.lambda_1, r.rates.lambda_2, r.rates.lambda_3,
-                            r.rates.lambda_4] for r in reports]).transpose(2, 0, 1)
-        blocks = np.stack([r.conditioned.as_matrix() for r in reports], axis=1)
-        joint = _joint_stack(np.stack([_joint_entries(case, branches, noise)
-                                       for case in cases], axis=1))
-        cond = _homodyne_x(joint)
-        oracle = numeric_symplectic_eigs(np.stack([joint[..., 2:, 2:], cond], axis=2))
-        oracle = oracle.reshape(m, len(cases), 4)
-        dev = np.abs(closed - oracle) / np.maximum(np.abs(oracle), 1e-300)
-        dev_b = (np.abs(blocks - cond).max(axis=(-2, -1))
-                 / np.maximum(1.0, np.abs(cond).max(axis=(-2, -1))))
-        block_worst = np.stack([dev[..., :2].max(axis=-1), dev[..., 2:].max(axis=-1),
-                                dev_b], axis=-1).max(axis=0)
-        worst = np.maximum(worst, block_worst)
+        entries = np.stack([_joint_entries(case, branches, noise) for case in cases], axis=1)
+        starts = range(0, m, VERIFY_CHUNK)
+        counts = [min(VERIFY_CHUNK, m - lo) for lo in starts]
+        spans = zip(*(total_skr(case, branches, noise).split(counts, [0] * len(counts))
+                      for case in cases))
+        for lo, count, reports in zip(starts, counts, spans):
+            closed = np.array([[r.rates.lambda_1, r.rates.lambda_2, r.rates.lambda_3,
+                                r.rates.lambda_4] for r in reports]).transpose(2, 0, 1)
+            blocks = np.stack([r.conditioned.as_matrix() for r in reports], axis=1)
+            joint = _joint_stack(entries[lo:lo + count])
+            cond = _homodyne_x(joint)
+            oracle = numeric_symplectic_eigs(np.stack([joint[..., 2:, 2:], cond], axis=2))
+            oracle = oracle.reshape(count, len(cases), 4)
+            dev = np.abs(closed - oracle) / np.maximum(np.abs(oracle), 1e-300)
+            dev_b = (np.abs(blocks - cond).max(axis=(-2, -1))
+                     / np.maximum(1.0, np.abs(cond).max(axis=(-2, -1))))
+            chunk_worst = np.stack([dev[..., :2].max(axis=-1), dev[..., 2:].max(axis=-1),
+                                    dev_b], axis=-1).max(axis=0)
+            worst = np.maximum(worst, chunk_worst)
     return [CheckResult(name=f"{kind}[{case.value}]",
                         max_deviation=float(worst[c, k]), tolerance=tol,
                         passed=bool(draws == 0 or worst[c, k] < tol), draws=draws)

@@ -2,8 +2,11 @@ import ast
 import cmath
 import dataclasses
 import math
+import os
 import pathlib
+import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -179,6 +182,41 @@ def test_run_verification_detects_corrupted_closed_form(monkeypatch):
     by_name = {check.name: check for check in results}
     assert not by_name["eigs_unconditional[g]"].passed
     assert by_name["eigs_unconditional[d]"].passed
+
+
+@pytest.mark.parametrize("draws", [0, 1, 200, 513])
+def test_blocks_and_chunks_change_no_bit(monkeypatch, draws):
+    # 200 and 513 end in a partial chunk and a partial block at every size
+    default = run_verification(draws, seed=42)
+    for block, chunk in ((7, 3), (1, 1)):
+        monkeypatch.setattr(oracle, "VERIFY_BLOCK", block)
+        monkeypatch.setattr(oracle, "VERIFY_CHUNK", chunk)
+        assert run_verification(draws, seed=42) == default
+
+
+def test_verification_memory_does_not_grow_with_the_draws():
+    run_verification(oracle.VERIFY_BLOCK)  # warm-up: first-use imports and caches
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            run_verification(blocks * oracle.VERIFY_BLOCK)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_verification_does_not_import_numpy_ma():
+    # a fresh process: another test may already have imported numpy.ma here
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    code = ("import sys\nfrom ris_cvqkd.oracle import run_verification\n"
+            "run_verification(64)\nprint('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 # --- stacked eigensolver and exact sector determinant -------------------------
